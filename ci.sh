@@ -101,6 +101,14 @@ for threads in 1 4; do
   SR_THREADS=$threads cargo run -q --release --offline -p sr-bench --bin bench_gate
 done
 
+# The end-to-end benchmark (e2e-bench/, a package of its own) builds the
+# repository's crates from source through path dependencies. Its unit
+# tests and a 24×24 smoke run of every workload fail here, not in a
+# benchmark run, when a public-API change breaks it; --locked fails when a
+# crate-manifest change would rewrite e2e-bench/Cargo.lock.
+echo "==> e2e bench tests"
+cargo test --release --offline --locked -q --manifest-path e2e-bench/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 

@@ -1,21 +1,18 @@
 //! Ingestion-tier benchmarks on the paper-scale 100k-cell workload
 //! (320×320 grid): raw binning throughput, the per-batch cost of keeping
-//! a living partition current *incrementally* versus the full recompute a
+//! the scan inputs current *incrementally* versus the full recompute a
 //! batch pipeline pays, and the exact-repartition cost with and without
-//! the maintained scan cache. Results are exported to `BENCH_ingest.json`
-//! at the workspace root.
+//! the maintained scan cache and the localized walk. Results are exported
+//! to `BENCH_ingest.json` at the workspace root.
 //!
-//! The acceptance bar (`docs/INGESTION.md` §7): at ≤10% dirty cells per
-//! batch, incremental maintenance (`ingest/maintain/incremental_*`) must
-//! be at least 3× faster than the full recompute
-//! (`ingest/maintain/full_*`). Both sides leave a partition whose IFL is
-//! within θ after every batch — the batch pipeline by re-running the
-//! driver from scratch, the engine by patching the scan inputs and
-//! absorbing the dirty cells into its live split-on-write tier; the exact
-//! driver walk then re-runs on demand over the patched inputs
-//! (`ingest/repartition/*` reports that cost transparently — the walk
-//! dominates it, so the scan cache alone is a modest win; the per-batch
-//! rows are where incremental maintenance earns its keep).
+//! The acceptance bars (`docs/INGESTION.md` §7): at ≤10% dirty cells per
+//! batch, incremental maintenance (`ingest/maintain/incremental_*`: bin,
+//! collapse, patch the scan cache) must be at least 3× faster than the
+//! full recompute (`ingest/maintain/full_*`: bin, collapse, re-run the
+//! driver from scratch); and a localized 1%-dirty re-partition
+//! (`ingest/repartition/localized_1pct_dirty`) must be at least 8× faster
+//! than a cold walk over the same cached inputs
+//! (`ingest/repartition/scan_cached`).
 //!
 //! Delta values stay below the seeded per-attribute maximum on purpose:
 //! a new maximum re-normalizes every cell and forces the documented
@@ -91,7 +88,7 @@ fn delta_chunk(rng: &mut Rng, dirty: usize) -> PointChunk {
 fn batch_driver() -> Repartitioner {
     let cfg = RepartitionConfig::new(THETA)
         .unwrap()
-        .with_strategy(IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 });
+        .with_strategy(IterationStrategy::for_cells(ROWS * COLS));
     Repartitioner::with_config(cfg).unwrap()
 }
 
@@ -156,8 +153,7 @@ fn main() {
         let deltas: Vec<PointChunk> = (0..DELTAS).map(|_| delta_chunk(&mut rng, dirty)).collect();
 
         // Incremental side: a warmed engine (seed batch + one exact
-        // re-partition) absorbs each delta by patching scan inputs and
-        // the live tier.
+        // re-partition) absorbs each delta by patching its scan inputs.
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
         engine.apply_batch(&seed).unwrap();
@@ -193,9 +189,10 @@ fn main() {
     // Exact re-partition, with and without the maintained scan cache —
     // reported transparently: the threshold walk dominates both, so the
     // cached variation scan is a modest (not 3×) win here. `scan_cached`
-    // deliberately measures the *non*-localized walk over patched inputs
-    // ([`Repartitioner::run_with_scan`]) so the localized rows below have
-    // a stable baseline to be compared against.
+    // times a cold localized walk (a fresh `LocalizedState`: every
+    // extraction a full scan, every group built) over the prebuilt cache,
+    // so the localized rows below have a stable baseline to be compared
+    // against.
     {
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
@@ -208,7 +205,9 @@ fn main() {
         g.sample_size(10).measurement_time(Duration::from_secs(4));
         g.bench_function("repartition/scan_cached", |bench| {
             bench.iter(|| {
-                driver.run_with_scan(&grid, &scan, pool).unwrap().repartitioned.num_groups()
+                let mut cold = LocalizedState::new();
+                let out = driver.run_localized(&grid, &scan, &mut cold, &[], pool).unwrap();
+                out.repartitioned.num_groups()
             })
         });
         g.bench_function("repartition/from_scratch", |bench| {
@@ -219,12 +218,12 @@ fn main() {
 
     // Localized exact re-partition: a warmed LocalizedState absorbs a
     // delta's dirty cells instead of re-walking the whole grid. This is
-    // the tentpole row: cost proportional to the dirty region,
-    // bit-identical to `scan_cached` output. Each iteration mutates the
-    // grid and patches the scan cache *outside* the timed window
-    // (`iter_custom`) — those costs are the `maintain/incremental_*` rows
-    // — so the row times exactly what `scan_cached` times: one driver
-    // run over patched inputs. Values stay below the pinned 200.0
+    // the headline row: cost proportional to the dirty region,
+    // bit-identical to a batch run on the same grid. Each iteration
+    // mutates the grid and patches the scan cache *outside* the timed
+    // window (`iter_custom`) — those costs are the `maintain/incremental_*`
+    // rows — so the row times exactly what `scan_cached` times: one walk
+    // over patched inputs. Values stay below the pinned 200.0
     // maximum so the scan cache patches in place (see the module docs).
     {
         let mut engine =

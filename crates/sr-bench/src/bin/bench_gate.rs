@@ -28,9 +28,10 @@
 //! SR_GATE_MAX_INCR_MS=15`.
 //!
 //! The timing loops double as determinism checks: the t1 and t4 runs
-//! must produce bit-identical outcomes, and the localized rounds must
-//! match a non-localized run over the same patched scan inputs — or the
-//! timings compare different work and the gate aborts.
+//! must produce bit-identical outcomes, and the last localized round must
+//! match the batch driver's hinted walk — a cold walk over a freshly built
+//! scan cache — on the same grid, or the timings compare different work
+//! and the gate aborts.
 
 use sr_core::{
     IterationStrategy, LocalizedState, RepartitionConfig, RepartitionOutcome, Repartitioner,

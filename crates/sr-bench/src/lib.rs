@@ -24,18 +24,13 @@ use sr_core::{IterationStrategy, RepartitionConfig, RepartitionOutcome, Repartit
 use sr_grid::GridDataset;
 
 /// Re-partitions `grid` at `theta` with the strategy appropriate for the
-/// grid's size: the paper-faithful every-distinct walk for small grids, the
-/// strided walk with binary-search backoff for large ones (DESIGN.md,
-/// substitution 5).
+/// grid's size ([`IterationStrategy::for_cells`]): the paper-faithful
+/// every-distinct walk for small grids, the strided walk with
+/// binary-search backoff for large ones (DESIGN.md, substitution 5).
 pub fn repartition_auto(grid: &GridDataset, theta: f64) -> RepartitionOutcome {
-    let strategy = if grid.num_cells() > 2_000 {
-        IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 }
-    } else {
-        IterationStrategy::EveryDistinct
-    };
     let cfg = RepartitionConfig::new(theta)
         .expect("thresholds are validated by callers")
-        .with_strategy(strategy);
+        .with_strategy(IterationStrategy::for_cells(grid.num_cells()));
     Repartitioner::with_config(cfg)
         .expect("config is valid")
         .run(grid)

@@ -53,9 +53,9 @@ fn count_valid_range(words: &[u64], start: usize, len: usize) -> usize {
 
 /// Flat arena of allocated group features: one `p`-wide row of values per
 /// group plus the group's valid-member count, with no per-group heap
-/// allocation. The driver's inner loop allocates features dozens of times
-/// per run and only materializes the boxed [`Vec<Option<Vec<f64>>>`] form
-/// once, for the accepted result — see [`GroupFeatures::into_options`].
+/// allocation. The driver assembles its winner in this form and
+/// materializes the boxed [`Vec<Option<Vec<f64>>>`] form once, for the
+/// accepted result — see [`GroupFeatures::into_options`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFeatures {
     p: usize,
@@ -75,12 +75,6 @@ impl GroupFeatures {
         Self::allocate_with(original, partition, sr_par::Pool::global())
     }
 
-    /// An empty arena, for use as a reusable [`GroupFeatures::allocate_into`]
-    /// target.
-    pub(crate) fn empty() -> Self {
-        GroupFeatures { p: 0, values: Vec::new(), valid_counts: Vec::new() }
-    }
-
     /// [`GroupFeatures::allocate`] on an explicit pool. Groups are
     /// independent and emitted in group-id order, so the result is
     /// bit-identical at any thread count.
@@ -89,31 +83,17 @@ impl GroupFeatures {
         partition: &Partition,
         pool: &sr_par::Pool,
     ) -> Self {
-        let mut out = GroupFeatures::empty();
-        Self::allocate_into(original, partition, pool, &mut out);
-        out
-    }
-
-    /// [`GroupFeatures::allocate_with`] into a reused arena: clears `out`
-    /// and refills it, keeping its allocations. The driver calls this once
-    /// per iteration on buffers that already span the grid.
-    pub(crate) fn allocate_into(
-        original: &GridDataset,
-        partition: &Partition,
-        pool: &sr_par::Pool,
-        out: &mut GroupFeatures,
-    ) {
         let p = original.num_attrs();
         let n_groups = partition.num_groups();
-        out.p = p;
-        out.values.clear();
-        out.valid_counts.clear();
+        let mut out = GroupFeatures {
+            p,
+            values: Vec::with_capacity(n_groups * p),
+            valid_counts: Vec::with_capacity(n_groups),
+        };
         // Serial pools fill the arena directly — the chunked path below
         // pays for its parallelism with a concatenation copy.
         if pool.threads() <= 1 {
             let mut scratch = Scratch::new(p);
-            out.values.reserve(n_groups * p);
-            out.valid_counts.reserve(n_groups);
             for gid in 0..n_groups {
                 let count = allocate_group_into(
                     original,
@@ -124,7 +104,7 @@ impl GroupFeatures {
                 );
                 out.valid_counts.push(count as u32);
             }
-            return;
+            return out;
         }
         let chunks = pool.par_map_chunks(n_groups, sr_par::fixed_grain(n_groups, 64), |range| {
             let mut scratch = Scratch::new(p);
@@ -141,12 +121,11 @@ impl GroupFeatures {
             }
             (values, counts)
         });
-        out.values.reserve(n_groups * p);
-        out.valid_counts.reserve(n_groups);
         for (v, c) in chunks {
             out.values.extend(v);
             out.valid_counts.extend(c);
         }
+        out
     }
 
     /// Number of groups.
@@ -171,7 +150,7 @@ impl GroupFeatures {
 
     /// Assembles an arena from already-aggregated parts — the localized
     /// driver materializes its winner from cached per-rect rows, which were
-    /// produced by the same [`allocate_rect_into`] the batch paths use, so
+    /// produced by the same [`allocate_rect_into`] the public kernels use, so
     /// the assembled arena is bit-identical to a fresh allocation.
     pub(crate) fn from_raw(p: usize, values: Vec<f64>, valid_counts: Vec<u32>) -> Self {
         debug_assert_eq!(values.len(), valid_counts.len() * p);

@@ -195,33 +195,19 @@ pub fn extract_cell_groups_with(
 /// without recomputing any pair variation. The greedy row-major scan
 /// itself is inherently sequential (each group consumes cells the next
 /// anchor decision depends on) and cheap next to the variation math.
+///
+/// The `cIndex` buffer, initialized to an unassigned sentinel,
+/// doubles as the scan's visited map, so a pass needs no side storage.
 pub fn extract_with_edges(
     edge_variations: &EdgeVariations,
     min_adjacent_variation: f64,
 ) -> Partition {
-    let mut out = Partition::empty();
-    extract_with_edges_into(edge_variations, min_adjacent_variation, &mut out);
-    out
-}
-
-/// [`extract_with_edges`] into a reused partition: `out`'s group/cell index
-/// buffers are refilled in place, keeping their allocations. The driver
-/// recycles them across its dozens of evaluations per run. The `cIndex`
-/// buffer, reset to the [`UNASSIGNED`] sentinel, doubles as the scan's
-/// visited map, so a pass needs no side storage at all.
-pub(crate) fn extract_with_edges_into(
-    edge_variations: &EdgeVariations,
-    min_adjacent_variation: f64,
-    out: &mut Partition,
-) {
     let rows = edge_variations.rows;
     let cols = edge_variations.cols;
     let accept = min_adjacent_variation + VARIATION_SLACK;
 
-    let (mut groups, mut cell_to_group) = out.take_parts();
-    groups.clear();
-    cell_to_group.clear();
-    cell_to_group.resize(rows * cols, UNASSIGNED);
+    let mut groups = Vec::new();
+    let mut cell_to_group = vec![UNASSIGNED; rows * cols];
 
     for r in 0..rows {
         let rowbase = r * cols;
@@ -249,7 +235,7 @@ pub(crate) fn extract_with_edges_into(
         }
     }
 
-    *out = Partition::new(rows, cols, groups, cell_to_group);
+    Partition::new(rows, cols, groups, cell_to_group)
 }
 
 /// Finds the maximum-area rectangle anchored at `(r, c)` (its top-left

@@ -136,9 +136,10 @@ impl VariationHeap {
         None
     }
 
-    /// Drains the heap into an ascending, deduplicated vector of thresholds.
-    /// The iteration-strategy driver uses this to support strided walks and
-    /// binary-search backoff without re-heapifying.
+    /// Drains the heap into an ascending, deduplicated vector of thresholds —
+    /// the list strided walks and binary-search backoff index into. The
+    /// driver's `ScanCache` regenerates the same list with the same dedup
+    /// chain from its maintained multiset.
     ///
     /// The dedup semantics match [`pop_next_distinct`] (each kept value is
     /// at least `dedup_eps` above the previous one, starting from the last

@@ -86,9 +86,9 @@ pub fn partition_ifl_with(
     ifl_over_cells(original, partition, &reps, &skip, &cells, &cache, pool)
 }
 
-/// IFL (Eq. 3) directly from a flat [`GroupFeatures`] arena — the
-/// allocation-free form the driver uses once per iteration. Numerically
-/// identical to [`partition_ifl`] on the materialized features.
+/// IFL (Eq. 3) directly from a flat [`GroupFeatures`] arena, without
+/// materializing per-group feature vectors. Numerically identical to
+/// [`partition_ifl`] on the materialized features.
 pub fn partition_ifl_groups(
     original: &GridDataset,
     partition: &Partition,
@@ -106,52 +106,14 @@ pub fn partition_ifl_groups_with(
     opts: IflOptions,
     pool: &sr_par::Pool,
 ) -> f64 {
-    let cells: Vec<CellId> = original.valid_cells().collect();
-    let cache = IflCellCache::build(original, &cells, opts);
-    ifl_groups_over_cells(
-        original,
-        partition,
-        group_features,
-        &cells,
-        &cache,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        pool,
-    )
-}
-
-/// Tests the skip bit of group `g`.
-#[inline]
-fn skip_bit(skip: &[u64], g: usize) -> bool {
-    (skip[g >> 6] >> (g & 63)) & 1 != 0
-}
-
-/// Flat-arena IFL over a caller-supplied valid-cell list, term cache, and
-/// representatives/skip buffers, so the driver can build the first two
-/// (they are partition-independent) once per run and reuse the buffers'
-/// pages across its dozens of evaluations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ifl_groups_over_cells(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &GroupFeatures,
-    cells: &[CellId],
-    cache: &IflCellCache,
-    reps_buf: &mut Vec<f64>,
-    skip_buf: &mut Vec<u64>,
-    pool: &sr_par::Pool,
-) -> f64 {
     debug_assert_eq!(group_features.num_groups(), partition.num_groups());
     let p = original.num_attrs();
     let aggs = original.agg_types();
     let n_groups = partition.num_groups();
-    // The representatives arena is sized but deliberately not zeroed: the
-    // kernel only reads rows of groups that are neither skipped nor null,
-    // and every such row is written below. Null groups own no valid cell,
-    // so their (stale) rows are unreachable from the cell walk.
-    reps_buf.resize(n_groups * p, 0.0);
-    skip_buf.clear();
-    skip_buf.resize(n_groups.div_ceil(64), 0);
+    // Null groups keep 0.0 rows — they own no valid cell, so the cell walk
+    // never reads them.
+    let mut reps = vec![0.0f64; n_groups * p];
+    let mut skip = vec![0u64; n_groups.div_ceil(64)];
     for g in 0..n_groups {
         if let Some(fv) = group_features.row(g) {
             let members = group_features.valid_count(g);
@@ -159,18 +121,25 @@ pub(crate) fn ifl_groups_over_cells(
             // by its own value — every aggregation reduces to the identity
             // on a single value, and Sum divides back by 1 — so all of its
             // Eq. 3 terms are exact zeros and the cell can be skipped
-            // without changing a single bit of the sum. Its rep row is
-            // never read either, so it is not even written.
+            // without changing a single bit of the sum.
             if members == 1 {
-                skip_buf[g >> 6] |= 1u64 << (g & 63);
+                skip[g >> 6] |= 1u64 << (g & 63);
                 continue;
             }
             for k in 0..p {
-                reps_buf[g * p + k] = representative(fv[k], aggs[k], members);
+                reps[g * p + k] = representative(fv[k], aggs[k], members);
             }
         }
     }
-    ifl_over_cells(original, partition, reps_buf, skip_buf, cells, cache, pool)
+    let cells: Vec<CellId> = original.valid_cells().collect();
+    let cache = IflCellCache::build(original, &cells, opts);
+    ifl_over_cells(original, partition, &reps, &skip, &cells, &cache, pool)
+}
+
+/// Tests the skip bit of group `g`.
+#[inline]
+fn skip_bit(skip: &[u64], g: usize) -> bool {
+    (skip[g >> 6] >> (g & 63)) & 1 != 0
 }
 
 /// Per-run cache of the partition-independent parts of Eq. 3: the inverse

@@ -1,14 +1,12 @@
 //! Incremental maintenance of the driver's scan inputs (dirty-region
 //! re-partitioning, `docs/INGESTION.md`).
 //!
-//! A full [`Repartitioner::run`] derives four partition-independent inputs
-//! from the grid before walking thresholds: the normalized edge variations,
-//! the sorted distinct variation thresholds, the valid-cell list, and the
-//! Eq. 3 per-cell term cache. All four are *local* functions of cell values
-//! (an edge depends on two cells; a term row on one), so after a batch of
-//! cell updates they can be patched in place instead of recomputed — the
-//! extraction walk itself cannot be localized (the greedy scan of
-//! Algorithm 1 cascades globally), but it is cheap next to the scans.
+//! The threshold walk reads four partition-independent inputs derived
+//! from the grid: the normalized edge variations, the sorted distinct
+//! variation thresholds, the valid-cell list, and the Eq. 3 per-cell term
+//! cache. All four are *local* functions of cell values (an edge depends
+//! on two cells; a term row on one), so after a batch of cell updates they
+//! can be patched in place instead of recomputed.
 //!
 //! [`ScanCache`] holds these four inputs and keeps them **bit-identical**
 //! to what a from-scratch run would compute on the updated grid:
@@ -37,14 +35,13 @@
 //!   [`ScanCache::build`] computes for that structure, so correctness never
 //!   depends on the guards being precise — only speed does.
 //!
-//! [`Repartitioner::run_with_scan`] then feeds the cache into the shared
-//! threshold walk ([`Repartitioner`]'s `run_prepared`), which is the same
-//! code path the batch run takes after its scans — equal inputs, equal
-//! partition bits.
+//! Every threshold walk reads its inputs from a `ScanCache`: a batch
+//! [`Repartitioner::run`] builds one from scratch and walks it cold, and
+//! [`Repartitioner::run_localized`] walks a maintained one — equal inputs,
+//! equal partition bits.
 //!
-//! [`Repartitioner`]: crate::repartition::Repartitioner
 //! [`Repartitioner::run`]: crate::repartition::Repartitioner::run
-//! [`Repartitioner::run_with_scan`]: crate::repartition::Repartitioner::run_with_scan
+//! [`Repartitioner::run_localized`]: crate::repartition::Repartitioner::run_localized
 //! [`VariationHeap::into_sorted_distinct`]: crate::heap::VariationHeap::into_sorted_distinct
 //! [`VariationHeap::from_grid_with`]: crate::heap::VariationHeap::from_grid_with
 
@@ -102,7 +99,18 @@ impl ScanCache {
 
     /// [`ScanCache::build`] on an explicit pool.
     pub fn build_with(grid: &GridDataset, opts: IflOptions, pool: &sr_par::Pool) -> Self {
-        let (edges, raw) = rebuild_edges(grid, pool);
+        Self::from_normalized(grid, &normalize_attributes(grid), opts, pool)
+    }
+
+    /// [`ScanCache::build_with`] given `normalize_attributes(grid)`, which
+    /// the batch driver computes under its own span.
+    pub(crate) fn from_normalized(
+        grid: &GridDataset,
+        normalized: &GridDataset,
+        opts: IflOptions,
+        pool: &sr_par::Pool,
+    ) -> Self {
+        let (edges, raw) = rebuild_edges(normalized, pool);
         let cells: Vec<CellId> = grid.valid_cells().collect();
         let ifl_cache = IflCellCache::build(grid, &cells, opts);
         ScanCache {
@@ -163,7 +171,7 @@ impl ScanCache {
         let mut recomputed = 0usize;
         if denominators_moved {
             self.max_abs = max_abs;
-            let (edges, raw) = rebuild_edges(grid, pool);
+            let (edges, raw) = rebuild_edges(&normalize_attributes(grid), pool);
             self.edges = edges;
             self.raw = raw;
         } else {
@@ -340,11 +348,11 @@ impl ScanCache {
 }
 
 /// Recomputes the full edge array and the sorted finite-variation multiset
-/// from scratch — exactly what [`ScanCache::build_with`] computes, shared
-/// with the denominator-move path of [`ScanCache::update_with`].
-fn rebuild_edges(grid: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
-    let normalized = normalize_attributes(grid);
-    let edges = EdgeVariations::build_with(&normalized, pool);
+/// of a normalized grid from scratch — exactly what
+/// [`ScanCache::build_with`] computes, shared with the denominator-move
+/// path of [`ScanCache::update_with`].
+fn rebuild_edges(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
+    let edges = EdgeVariations::build_with(normalized, pool);
     let mut raw: Vec<f64> =
         edges.h.iter().chain(edges.v.iter()).copied().filter(|v| v.is_finite()).collect();
     raw.sort_unstable_by_key(|&v| sort_key(v));
@@ -391,6 +399,7 @@ fn edge_value(grid: &GridDataset, max_abs: &[f64], a: CellId, b: CellId) -> f64 
 mod tests {
     use super::*;
     use crate::heap::VariationHeap;
+    use crate::localized::LocalizedState;
     use crate::repartition::Repartitioner;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -466,11 +475,12 @@ mod tests {
         assert_eq!(report.edges_recomputed, 0);
         assert_cache_fresh(&cache, &g);
 
-        // The term cache must still be correct end to end — run the driver
-        // against a from-scratch batch run on the bumped grid.
+        // The term cache must still be correct end to end — walk the
+        // patched cache cold against a from-scratch batch run on the
+        // bumped grid.
         let driver = Repartitioner::new(0.08).unwrap();
         let pool = sr_par::Pool::global();
-        let inc = driver.run_with_scan(&g, &cache, pool).unwrap();
+        let inc = driver.run_localized(&g, &cache, &mut LocalizedState::new(), &[], pool).unwrap();
         let full = driver.run_with_pool(&g, pool).unwrap();
         assert_eq!(inc.repartitioned.ifl().to_bits(), full.repartitioned.ifl().to_bits());
         assert_eq!(
@@ -491,8 +501,10 @@ mod tests {
         assert_cache_fresh(&cache, &g);
     }
 
+    /// A cold localized walk (fresh state) over the patched cache must
+    /// reproduce a batch run, which builds its cache from scratch.
     #[test]
-    fn run_with_scan_matches_batch_run_bit_for_bit() {
+    fn cold_localized_walk_over_patched_cache_matches_batch_run() {
         let mut g = random_grid(12, 12, 5);
         let mut cache = ScanCache::build(&g, IflOptions::default());
         let mut rng = SmallRng::seed_from_u64(6);
@@ -505,7 +517,8 @@ mod tests {
             }
             cache.update(&g, &dirty);
             let pool = sr_par::Pool::global();
-            let inc = driver.run_with_scan(&g, &cache, pool).unwrap();
+            let inc =
+                driver.run_localized(&g, &cache, &mut LocalizedState::new(), &[], pool).unwrap();
             let full = driver.run_with_pool(&g, pool).unwrap();
             assert_eq!(
                 inc.repartitioned.partition().cell_to_group(),
@@ -539,7 +552,13 @@ mod tests {
         let g = random_grid(4, 4, 7);
         let cache = ScanCache::build(&g, IflOptions { zero_eps: 0.5 });
         let driver = Repartitioner::new(0.1).unwrap();
-        let err = driver.run_with_scan(&g, &cache, sr_par::Pool::global());
+        let err = driver.run_localized(
+            &g,
+            &cache,
+            &mut LocalizedState::new(),
+            &[],
+            sr_par::Pool::global(),
+        );
         assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
     }
 }

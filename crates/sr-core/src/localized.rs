@@ -1,8 +1,12 @@
-//! Localized incremental re-partitioning: make the exact threshold walk
-//! cost proportional to the *dirty region* instead of the grid, while
-//! staying bit-identical to the batch driver.
+//! The threshold walk — the one per-threshold evaluation in the crate —
+//! and the cross-run state that makes it cost proportional to the *dirty
+//! region* instead of the grid.
 //!
-//! Three cooperating mechanisms (docs/INGESTION.md, "The localized walk"):
+//! A batch [`Repartitioner::run`] walks a fresh [`LocalizedState`] (cold:
+//! every extraction a full scan, every group built);
+//! [`Repartitioner::run_localized`] walks a state carried over from the
+//! previous run. Three cooperating mechanisms make the carried-over walk
+//! cheap (docs/INGESTION.md, "The localized walk"):
 //!
 //! 1. **Extraction replay.** Every evaluated threshold records a
 //!    `ThetaTrace`: the emitted rectangles plus, per rectangle, the probe
@@ -23,9 +27,9 @@
 //!    grouping makes bit-identical to a live evaluation.
 //! 3. **Warm-started θ search.** The walk starts from the previously
 //!    accepted variation and expands outward
-//!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk on
-//!    the batch path, making it the bit-exact reference). A hint below
-//!    every current threshold misses and falls back to the full walk.
+//!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk
+//!    cold, making it the bit-exact reference). A hint below every current
+//!    threshold misses and falls back to the full walk.
 //!
 //! Fallback conditions (all safe, never wrong — just slower): first run or
 //! invalidated state, a dirty fraction above `FULL_WALK_DIRTY_FRACTION`,
@@ -46,6 +50,7 @@ use crate::repartition::{
 use crate::{CoreError, Result};
 use sr_grid::{AggType, CellId, GridDataset};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Above this dirty fraction the localized run walks cold (no warm hint):
 /// with a quarter of the grid dirty the accepted θ can move arbitrarily and
@@ -88,13 +93,42 @@ struct RectEntry {
     epoch: u64,
     /// Valid members of the group (0 = null group).
     valid_count: u32,
-    /// The allocated feature vector (`p` values; zeros for a null group).
-    features: Box<[f64]>,
-    /// One Eq. 3 subtotal per valid member, in row-major member order.
-    /// All-zero when `valid_count == 1` (the batch kernel skips such
-    /// groups — their terms are exact zeros).
-    terms: Box<[f64]>,
+    /// The allocated feature vector (`p` values; zeros for a null group),
+    /// then one Eq. 3 subtotal per valid member, in row-major member
+    /// order. The subtotals are all-zero when `valid_count == 1` (the
+    /// batch kernel skips such groups — their terms are exact zeros).
+    data: Box<[f64]>,
 }
+
+/// Fx-style multiplicative hasher for the walk's small fixed-size keys
+/// (rectangle corners, threshold bits). Every evaluation probes the
+/// rectangle cache once per changed group; SipHash would cost more than
+/// the lookups it guards. Hashing only orders the maps' iteration, which
+/// no output depends on.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Cross-run state of the localized path: extraction traces, the per-group
 /// cache, and the warm-start hint. One instance per maintained grid, fed
@@ -107,8 +141,8 @@ pub struct LocalizedState {
     /// both end-of-run eviction and the "exactly one generation old"
     /// validity rule.
     epoch: u64,
-    traces: HashMap<u64, ThetaTrace>,
-    rect_cache: HashMap<GroupRect, RectEntry>,
+    traces: KeyMap<u64, ThetaTrace>,
+    rect_cache: KeyMap<GroupRect, RectEntry>,
     hint: Option<f64>,
     ready: bool,
     last_fallback: bool,
@@ -172,6 +206,20 @@ impl LocalizedState {
     /// subtotals were served from the rectangle cache.
     pub fn last_reused_groups(&self) -> u64 {
         self.last_reused
+    }
+
+    /// Starts a run on `grid`: resets the state when the grid shape
+    /// changed, advances the epoch, and loads the scan's distinct
+    /// thresholds for the walk. Returns the threshold count.
+    pub(crate) fn begin_run(&mut self, grid: &GridDataset, scan: &ScanCache) -> usize {
+        if self.rows != grid.rows() || self.cols != grid.cols() {
+            *self = LocalizedState::new();
+            self.rows = grid.rows();
+            self.cols = grid.cols();
+        }
+        self.epoch += 1;
+        scan.sorted_distinct_thresholds_into(&mut self.thresholds_buf);
+        self.thresholds_buf.len()
     }
 
     /// Whether a run over `dirty_len` dirty cells on a `num_cells` grid
@@ -435,9 +483,10 @@ fn build_rect_entry(
 ) -> RectEntry {
     feat_tmp.clear();
     let count = allocate_rect_into(grid, rect, scratch, feat_tmp);
-    let mut terms = Vec::with_capacity(count);
+    let mut data = Vec::with_capacity(p + count);
+    data.extend_from_slice(feat_tmp);
     if count > 1 {
-        // Stash the representative row behind the features in the same
+        // Stash the representative row behind the features in the scratch
         // buffer (indices p..2p).
         for k in 0..p {
             let rep = representative(feat_tmp[k], aggs[k], count);
@@ -448,7 +497,7 @@ fn build_rect_entry(
             for cc in rect.c0 as usize..=rect.c1 as usize {
                 let pos = pos_of[base + cc];
                 if pos != u32::MAX {
-                    terms.push(cell_term_at(
+                    data.push(cell_term_at(
                         cache,
                         pos as usize,
                         &feat_tmp[p..2 * p],
@@ -459,18 +508,12 @@ fn build_rect_entry(
                 }
             }
         }
-        feat_tmp.truncate(p);
     } else {
         // 0 or 1 valid member: the batch kernel contributes nothing for
         // these groups (single-member terms are exact zeros).
-        terms.resize(count, 0.0);
+        data.resize(p + count, 0.0);
     }
-    RectEntry {
-        epoch,
-        valid_count: count as u32,
-        features: feat_tmp.as_slice().into(),
-        terms: terms.into_boxed_slice(),
-    }
+    RectEntry { epoch, valid_count: count as u32, data: data.into_boxed_slice() }
 }
 
 /// Scores one extracted tiling: per-group subtotals — cached where the
@@ -495,7 +538,7 @@ fn score_trace(
     cols: usize,
     trace_rects: &[GroupRect],
     prev_rects: &[GroupRect],
-    rect_cache: &mut HashMap<GroupRect, RectEntry>,
+    rect_cache: &mut KeyMap<GroupRect, RectEntry>,
     prefix: &[u32],
     epoch: u64,
     scratch: &mut Scratch,
@@ -610,25 +653,26 @@ fn scatter_entry(
     rect: GroupRect,
     entry: &RectEntry,
 ) {
+    let member_terms = &entry.data[entry.data.len() - entry.valid_count as usize..];
     let mut j = 0usize;
     for rr in rect.r0 as usize..=rect.r1 as usize {
         let base = rr * cols;
         for cc in rect.c0 as usize..=rect.c1 as usize {
             let pos = pos_of[base + cc];
             if pos != u32::MAX {
-                terms[pos as usize] = entry.terms[j];
+                terms[pos as usize] = member_terms[j];
                 j += 1;
             }
         }
     }
-    debug_assert_eq!(j, entry.valid_count as usize);
+    debug_assert_eq!(j, member_terms.len());
 }
 
 /// Retains a freshly recorded trace, respecting the size caps: oversized
 /// traces are dropped (re-extraction is cheaper than the memory), and when
 /// the table is full the largest stored trace makes room — unless the new
 /// one is itself the largest.
-fn store_trace(traces: &mut HashMap<u64, ThetaTrace>, key: u64, trace: ThetaTrace) {
+fn store_trace(traces: &mut KeyMap<u64, ThetaTrace>, key: u64, trace: ThetaTrace) {
     if trace.rects.len() > MAX_TRACE_RECTS {
         return;
     }
@@ -654,7 +698,7 @@ fn materialize(
     cols: usize,
     p: usize,
     winner: &[GroupRect],
-    rect_cache: &HashMap<GroupRect, RectEntry>,
+    rect_cache: &KeyMap<GroupRect, RectEntry>,
     epoch: u64,
     scratch: &mut Scratch,
 ) -> (Partition, GroupFeatures) {
@@ -673,7 +717,7 @@ fn materialize(
             // Entries touched this run hold exactly what a live allocation
             // would produce for the current grid.
             Some(e) if e.epoch == epoch => {
-                values.extend_from_slice(&e.features);
+                values.extend_from_slice(&e.data[..p]);
                 counts.push(e.valid_count);
             }
             _ => {
@@ -686,10 +730,10 @@ fn materialize(
 }
 
 impl Repartitioner {
-    /// The localized incremental entry point: like
-    /// [`Repartitioner::run_with_scan`], but with cost proportional to the
-    /// dirty region. `dirty` is the set of cells whose values changed since
-    /// the previous `run_localized` call on this `state` (duplicates are
+    /// The localized incremental entry point: a threshold walk over a
+    /// maintained [`ScanCache`] whose cost is proportional to the dirty
+    /// region. `dirty` is the set of cells whose values changed since the
+    /// previous `run_localized` call on this `state` (duplicates are
     /// harmless); `state` carries the traces, the per-group cache, and the
     /// warm-start hint between runs.
     ///
@@ -714,36 +758,49 @@ impl Repartitioner {
         if scan.ifl_options() != self.ifl_options() {
             return Err(CoreError::ScanCacheMismatch);
         }
-        let (rows, cols) = (grid.rows(), grid.cols());
         let n = grid.num_cells();
-        if state.rows != rows || state.cols != cols {
-            *state = LocalizedState::new();
-            state.rows = rows;
-            state.cols = cols;
-        }
-        state.epoch += 1;
-        let epoch = state.epoch;
-
-        let metrics = sr_obs::Registry::global();
-        metrics.counter("repartition.runs_total").inc();
+        sr_obs::Registry::global().counter("repartition.runs_total").inc();
         let mut run_span = sr_obs::span("repartition.run");
         run_span.record("cells", n);
         run_span.record("threshold", self.threshold());
-        run_span.record("incremental", 1usize);
         run_span.record("localized", 1usize);
         run_span.record("dirty_cells", dirty.len());
 
         {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
-            scan.sorted_distinct_thresholds_into(&mut state.thresholds_buf);
-            scan_span.record("distinct_variations", state.thresholds_buf.len());
+            scan_span.record("distinct_variations", state.begin_run(grid, scan));
         }
+        let cold = state.walks_cold(dirty.len(), n);
+        let warm_hint = state.planned_hint(dirty.len(), n);
+        let (outcome, walk) = self.walk_localized(grid, scan, state, dirty, warm_hint, pool);
+        state.last_fallback = cold || walk == WalkKind::WarmMiss;
+
+        run_span.record("groups", outcome.repartitioned.num_groups());
+        run_span.record("ifl", outcome.repartitioned.ifl());
+        run_span.record("reused_groups", state.last_reused as usize);
+        run_span.record("thresholds_walked", outcome.iterations.len());
+        Ok(outcome)
+    }
+
+    /// The threshold walk — the crate's one per-threshold evaluation (Alg.
+    /// 1 extraction, Alg. 2 allocation, Eq. 3 scoring), shared by the batch
+    /// driver (a fresh `state`, no dirt) and [`Repartitioner::run_localized`].
+    /// [`LocalizedState::begin_run`] must have loaded the scan's thresholds.
+    pub(crate) fn walk_localized(
+        &self,
+        grid: &GridDataset,
+        scan: &ScanCache,
+        state: &mut LocalizedState,
+        dirty: &[CellId],
+        warm_hint: Option<f64>,
+        pool: &sr_par::Pool,
+    ) -> (RepartitionOutcome, WalkKind) {
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let n = grid.num_cells();
+        let epoch = state.epoch;
         let edges = scan.edges();
         let cells = scan.cells();
         let ifl_cache = scan.ifl_cache();
-
-        let cold = state.walks_cold(dirty.len(), n);
-        let warm_hint = state.planned_hint(dirty.len(), n);
 
         // Run-scoped derived inputs and scratch, all held in the state so
         // steady-state runs allocate nothing grid-sized.
@@ -767,6 +824,7 @@ impl Repartitioner {
         let mut scratch = Scratch::new(p);
         let mut feat_tmp: Vec<f64> = Vec::new();
 
+        let metrics = sr_obs::Registry::global();
         let iterations_total = metrics.counter("repartition.iterations_total");
         let rejections_total = metrics.counter("repartition.rejections_total");
         let mut iterations: Vec<IterationStats> = Vec::new();
@@ -872,6 +930,8 @@ impl Repartitioner {
                 );
                 Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
             }
+            // Nothing accepted (or no adjacent pairs): the identity
+            // partition, whose IFL is exactly zero.
             None => {
                 let partition = Partition::identity(rows, cols);
                 let features = allocate_features_with(grid, &partition, pool);
@@ -888,17 +948,11 @@ impl Repartitioner {
         // old, the precondition of the cross-run validity checks above.
         state.hint = best.map(|(theta, ..)| theta);
         state.ready = true;
-        state.last_fallback = cold || walk == WalkKind::WarmMiss;
         state.last_reused = reused;
         state.traces.retain(|_, t| t.epoch == epoch);
         state.rect_cache.retain(|_, e| e.epoch == epoch);
 
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-        run_span.record("reused_groups", reused as usize);
-        run_span.record("thresholds_walked", iterations.len());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: n })
+        (RepartitionOutcome { repartitioned, iterations, input_cells: n }, walk)
     }
 }
 

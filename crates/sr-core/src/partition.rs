@@ -126,20 +126,6 @@ impl Partition {
         Partition { rows, cols, groups, cell_to_group }
     }
 
-    /// An empty placeholder partition whose buffers a later extraction pass
-    /// refills via [`Partition::take_parts`].
-    pub(crate) fn empty() -> Self {
-        Partition { rows: 0, cols: 0, groups: Vec::new(), cell_to_group: Vec::new() }
-    }
-
-    /// Takes both index buffers out of this partition (leaving it empty) so
-    /// an extraction pass can refill them in place. The driver evaluates
-    /// dozens of thresholds per run; recycling the two grid-sized buffers
-    /// keeps their pages mapped across evaluations.
-    pub(crate) fn take_parts(&mut self) -> (Vec<GroupRect>, Vec<GroupId>) {
-        (std::mem::take(&mut self.groups), std::mem::take(&mut self.cell_to_group))
-    }
-
     /// The identity partition: every cell is its own group (the state before
     /// the first merge iteration; IFL is exactly zero).
     pub fn identity(rows: usize, cols: usize) -> Self {

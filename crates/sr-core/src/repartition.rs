@@ -6,6 +6,10 @@
 //! partition is returned — the driver never emits a partition above the
 //! user's loss threshold.
 //!
+//! This module owns the walk order ([`IterationStrategy`], the warm
+//! start); the per-threshold evaluation is the localized walk of
+//! [`crate::localized`], which a batch run drives from a cold state.
+//!
 //! Two iteration strategies are provided (DESIGN.md, substitution 5):
 //!
 //! - [`IterationStrategy::EveryDistinct`] — the paper-faithful walk over
@@ -14,11 +18,9 @@
 //!   backoff on first rejection, for 100k-cell benchmark runs where the
 //!   distinct-value count makes the faithful walk quadratic in practice.
 
-use crate::allocator::{allocate_features_with, GroupFeatures};
-use crate::extractor::{extract_with_edges_into, EdgeVariations};
 use crate::group_adjacency::group_adjacency;
-use crate::heap::VariationHeap;
-use crate::ifl::{ifl_groups_over_cells, IflCellCache};
+use crate::incremental::ScanCache;
+use crate::localized::LocalizedState;
 use crate::partition::{GroupId, Partition};
 use crate::reconstruct::reconstruct_grid;
 use crate::{CoreError, Result};
@@ -41,6 +43,25 @@ pub enum IterationStrategy {
         /// Stride growth factor (> 1.0).
         growth: f64,
     },
+}
+
+impl IterationStrategy {
+    /// The strided walk used for large grids and by `srtool --strided`.
+    pub const STRIDED: IterationStrategy =
+        IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 };
+
+    /// The default walk for a grid of `num_cells` cells: the paper's
+    /// every-distinct loop up to 2,000 cells, [`IterationStrategy::STRIDED`]
+    /// above. Every size-based default in the workspace (the CLI, the
+    /// ingestion engine, the streaming tier, the experiment binaries) goes
+    /// through here, so they agree on the partition for the same data.
+    pub fn for_cells(num_cells: usize) -> Self {
+        if num_cells > 2_000 {
+            IterationStrategy::STRIDED
+        } else {
+            IterationStrategy::EveryDistinct
+        }
+    }
 }
 
 /// Which walk order [`Repartitioner::drive_walk`] ended up running.
@@ -277,10 +298,15 @@ impl Repartitioner {
     /// at the hinted variation and expands outward instead of striding up
     /// from the bottom (see `docs/INGESTION.md`'s "The localized walk").
     /// The hinted walk is a first-class walk order, not an approximation: a
-    /// hinted run is the bit-exact reference for the localized incremental
-    /// path ([`crate::localized`]) under the same hint. With `None` (or the
-    /// [`IterationStrategy::EveryDistinct`] strategy) this is exactly
-    /// [`Repartitioner::run_with_pool`].
+    /// hinted run is the bit-exact reference for
+    /// [`Repartitioner::run_localized`] under the same hint. With `None`
+    /// (or the [`IterationStrategy::EveryDistinct`] strategy) this is
+    /// exactly [`Repartitioner::run_with_pool`].
+    ///
+    /// A batch run is a *cold* localized walk — the same per-threshold
+    /// evaluation [`Repartitioner::run_localized`] runs, over a freshly
+    /// built [`ScanCache`] and a fresh [`LocalizedState`], so every
+    /// extraction is a full scan and every group is built.
     pub fn run_with_pool_warm(
         &self,
         grid: &GridDataset,
@@ -297,190 +323,25 @@ impl Repartitioner {
             let _span = sr_obs::span("repartition.normalize");
             normalize_attributes(grid)
         };
-        let thresholds = {
+        let mut state = LocalizedState::new();
+        let scan = {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
-            let thresholds =
-                VariationHeap::from_grid_with(&normalized, pool).into_sorted_distinct();
-            scan_span.record("distinct_variations", thresholds.len());
-            thresholds
+            let scan = ScanCache::from_normalized(grid, &normalized, self.config.ifl_options, pool);
+            scan_span.record("distinct_variations", state.begin_run(grid, &scan));
+            scan
         };
-        // Edge variations are threshold-independent: compute them once and
-        // reduce each extraction pass to comparisons against them. The
-        // valid-cell list and the Eq. 3 denominators/term count are
-        // likewise partition-independent.
-        let edges = EdgeVariations::build_with(&normalized, pool);
-        let cells: Vec<sr_grid::CellId> = grid.valid_cells().collect();
-        let ifl_cache = IflCellCache::build(grid, &cells, self.config.ifl_options);
+        drop(normalized);
 
-        let (repartitioned, iterations) =
-            self.run_prepared(grid, &edges, &thresholds, &cells, &ifl_cache, warm_hint, pool);
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: grid.num_cells() })
-    }
-
-    /// [`Repartitioner::run`] against a pre-maintained [`ScanCache`] —
-    /// the incremental entry point. The cache supplies exactly the four
-    /// partition-independent inputs `run_with_pool` derives from scratch
-    /// (edge variations, sorted distinct thresholds, valid-cell list, Eq. 3
-    /// term cache); from there the walk is the *same code path*, so equal
-    /// inputs force a bit-identical result. `grid` must be the dataset the
-    /// cache has been kept in sync with.
-    ///
-    /// [`ScanCache`]: crate::incremental::ScanCache
-    pub fn run_with_scan(
-        &self,
-        grid: &GridDataset,
-        scan: &crate::incremental::ScanCache,
-        pool: &sr_par::Pool,
-    ) -> Result<RepartitionOutcome> {
-        if scan.ifl_options() != self.config.ifl_options {
-            return Err(CoreError::ScanCacheMismatch);
-        }
-        sr_obs::Registry::global().counter("repartition.runs_total").inc();
-
-        let mut run_span = sr_obs::span("repartition.run");
-        run_span.record("cells", grid.num_cells());
-        run_span.record("threshold", self.config.threshold);
-        run_span.record("incremental", 1usize);
-
-        let thresholds = {
-            let mut scan_span = sr_obs::span("repartition.variation_scan");
-            let thresholds = scan.sorted_distinct_thresholds();
-            scan_span.record("distinct_variations", thresholds.len());
-            thresholds
-        };
-
-        let (repartitioned, iterations) = self.run_prepared(
-            grid,
-            scan.edges(),
-            &thresholds,
-            scan.cells(),
-            scan.ifl_cache(),
-            None,
-            pool,
-        );
-        run_span.record("groups", repartitioned.num_groups());
-        run_span.record("ifl", repartitioned.ifl());
-
-        Ok(RepartitionOutcome { repartitioned, iterations, input_cells: grid.num_cells() })
-    }
-
-    /// The threshold walk shared by [`run_with_pool`] and [`run_with_scan`]:
-    /// evaluates extraction passes over pre-computed scan inputs, keeps the
-    /// best accepted candidate, and falls back to the identity partition.
-    /// Every float operation lives here or below, so any two callers that
-    /// agree on the inputs agree on the output bits.
-    ///
-    /// [`run_with_pool`]: Repartitioner::run_with_pool
-    /// [`run_with_scan`]: Repartitioner::run_with_scan
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_prepared(
-        &self,
-        grid: &GridDataset,
-        edges: &EdgeVariations,
-        thresholds: &[f64],
-        cells: &[sr_grid::CellId],
-        ifl_cache: &IflCellCache,
-        warm_hint: Option<f64>,
-        pool: &sr_par::Pool,
-    ) -> (Repartitioned, Vec<IterationStats>) {
-        let metrics = sr_obs::Registry::global();
-        let iterations_total = metrics.counter("repartition.iterations_total");
-        let rejections_total = metrics.counter("repartition.rejections_total");
-
-        let mut iterations = Vec::new();
-        // Best candidate kept in flat-arena form; the boxed per-group
-        // feature vectors are materialized only once, for the winner. The
-        // arena and representatives buffer are reused across iterations
-        // (swapped with `best` on acceptance) so their grid-sized pages are
-        // mapped once per run, not once per evaluation.
-        let mut best: Option<(Partition, GroupFeatures, f64, f64)> = None;
-        let mut features_buf = GroupFeatures::empty();
-        let mut partition_buf = Partition::empty();
-        let mut reps_buf: Vec<f64> = Vec::new();
-        let mut skip_buf: Vec<u64> = Vec::new();
-
-        {
-            // One extraction pass at the given variation; updates `best` on
-            // acceptance and returns the stats.
-            let mut evaluate = |theta: f64| -> IterationStats {
-                extract_with_edges_into(edges, theta, &mut partition_buf);
-                GroupFeatures::allocate_into(grid, &partition_buf, pool, &mut features_buf);
-                let ifl = ifl_groups_over_cells(
-                    grid,
-                    &partition_buf,
-                    &features_buf,
-                    cells,
-                    ifl_cache,
-                    &mut reps_buf,
-                    &mut skip_buf,
-                    pool,
-                );
-                let accepted = ifl <= self.config.threshold;
-                iterations_total.inc();
-                if !accepted {
-                    rejections_total.inc();
-                }
-                let num_groups = partition_buf.num_groups();
-                if accepted {
-                    let better = best.as_ref().is_none_or(|(b, ..)| num_groups <= b.num_groups());
-                    if better {
-                        match &mut best {
-                            Some((bp, bf, bifl, btheta)) => {
-                                // Swapping (not overwriting) keeps the evicted
-                                // candidate's buffers alive for the next pass.
-                                std::mem::swap(bp, &mut partition_buf);
-                                std::mem::swap(bf, &mut features_buf);
-                                *bifl = ifl;
-                                *btheta = theta;
-                            }
-                            None => {
-                                let partition =
-                                    std::mem::replace(&mut partition_buf, Partition::empty());
-                                let features =
-                                    std::mem::replace(&mut features_buf, GroupFeatures::empty());
-                                best = Some((partition, features, ifl, theta));
-                            }
-                        }
-                    }
-                }
-                IterationStats { min_adjacent_variation: theta, num_groups, ifl, accepted }
-            };
-
-            let mut merge_span = sr_obs::span("repartition.merge_loop");
-            self.drive_walk(thresholds, warm_hint, &mut iterations, &mut evaluate);
-            merge_span.record("iterations", iterations.len());
-            merge_span.record("rejections", iterations.iter().filter(|it| !it.accepted).count());
-        }
-
-        // Fallback: nothing accepted (or grid has no adjacent pairs) — the
-        // identity partition, whose IFL is exactly zero.
-        let repartitioned = match best {
-            Some((partition, features, ifl, theta)) => {
-                Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
-            }
-            None => {
-                let partition = Partition::identity(grid.rows(), grid.cols());
-                let features = allocate_features_with(grid, &partition, pool);
-                Repartitioned::from_parts(grid, partition, features, 0.0, 0.0)
-            }
-        };
-
-        metrics
-            .counter("repartition.cells_merged_total")
-            .add((grid.num_cells() - repartitioned.num_groups()) as u64);
-
-        (repartitioned, iterations)
+        let (outcome, _) = self.walk_localized(grid, &scan, &mut state, &[], warm_hint, pool);
+        run_span.record("groups", outcome.repartitioned.num_groups());
+        run_span.record("ifl", outcome.repartitioned.ifl());
+        Ok(outcome)
     }
 
     /// Walks the sorted distinct thresholds, dispatching one `evaluate`
-    /// call per probed index. All walk-order decisions live here: both the
-    /// batch driver ([`Repartitioner::run_prepared`]) and the localized
-    /// incremental path ([`crate::localized`]) drive their evaluations
-    /// through this method, so a shared `(thresholds, warm_hint)` pair
-    /// forces a bit-identical probe sequence.
+    /// call per probed index. All walk-order decisions live here, so a
+    /// shared `(thresholds, warm_hint)` pair forces a bit-identical probe
+    /// sequence.
     ///
     /// With a hint under [`IterationStrategy::Exponential`], the warm walk
     /// is tried first and the full walk runs only when the warm window
@@ -507,8 +368,7 @@ impl Repartitioner {
     }
 
     /// The cold walk: the paper's every-distinct loop, or the strided walk
-    /// with binary-search backoff (moved verbatim from the old inline
-    /// `run_prepared` loop — the probe sequence is unchanged).
+    /// with binary-search backoff.
     fn walk_full(
         &self,
         thresholds: &[f64],
@@ -730,6 +590,14 @@ mod tests {
             })
             .collect();
         GridDataset::univariate(rows, cols, vals).unwrap()
+    }
+
+    #[test]
+    fn strided_cutover_sits_above_2000_cells() {
+        assert_eq!(IterationStrategy::for_cells(0), IterationStrategy::EveryDistinct);
+        assert_eq!(IterationStrategy::for_cells(2_000), IterationStrategy::EveryDistinct);
+        assert_eq!(IterationStrategy::for_cells(2_001), IterationStrategy::STRIDED);
+        assert_eq!(IterationStrategy::for_cells(102_400), IterationStrategy::STRIDED);
     }
 
     #[test]

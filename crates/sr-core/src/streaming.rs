@@ -68,12 +68,8 @@ impl StreamingRepartitioner {
     /// Builds the streaming state by running the batch driver on `grid` at
     /// `threshold`.
     pub fn new(grid: GridDataset, threshold: f64) -> Result<Self> {
-        let config =
-            RepartitionConfig::new(threshold)?.with_strategy(if grid.num_cells() > 2_000 {
-                IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 }
-            } else {
-                IterationStrategy::EveryDistinct
-            });
+        let config = RepartitionConfig::new(threshold)?
+            .with_strategy(IterationStrategy::for_cells(grid.num_cells()));
         let outcome = Repartitioner::with_config(config)?.run(&grid)?;
         let rep = outcome.repartitioned;
         let partition = rep.partition();
@@ -88,36 +84,6 @@ impl StreamingRepartitioner {
             rects,
             cell_to_group,
             features,
-            valid_counts: Vec::new(),
-            contributions: Vec::new(),
-            compacted_groups: 0,
-            grid,
-        };
-        this.rebuild_bookkeeping();
-        this.compacted_groups = this.num_groups();
-        Ok(this)
-    }
-
-    /// Builds the streaming state from an already-computed batch result
-    /// over `grid`, skipping the driver run [`StreamingRepartitioner::new`]
-    /// performs. The ingestion engine re-seeds its live tier this way after
-    /// each exact incremental re-partition — the fresh result is already in
-    /// hand, so re-deriving it would double the dominant cost.
-    pub fn from_repartitioned(
-        grid: GridDataset,
-        rep: &crate::repartition::Repartitioned,
-        threshold: f64,
-    ) -> Result<Self> {
-        if !(threshold > 0.0 && threshold <= 1.0) {
-            return Err(CoreError::InvalidThreshold(threshold));
-        }
-        let partition = rep.partition();
-        let mut this = StreamingRepartitioner {
-            threshold,
-            ifl_options: IflOptions::default(),
-            rects: partition.rects().to_vec(),
-            cell_to_group: partition.cell_to_group().to_vec(),
-            features: rep.features().to_vec(),
             valid_counts: Vec::new(),
             contributions: Vec::new(),
             compacted_groups: 0,

@@ -355,8 +355,9 @@ fn ref_allocate(grid: &GridDataset, partition: &Partition) -> Vec<Option<Vec<f64
 /// Reference Eq. 3: per-cell percentage-error terms against
 /// aggregation-aware representatives. Terms are formed exactly as the
 /// production kernel forms them (`|d − r| · (1/|d|)`, not a division) and
-/// summed in the same fixed-grain chunk order, because the contract is
-/// bit identity, not mathematical equality.
+/// summed with the same association — each cell's terms into a per-cell
+/// subtotal, subtotals in fixed-grain chunk order — because the contract
+/// is bit identity, not mathematical equality.
 fn ref_ifl(
     grid: &GridDataset,
     partition: &Partition,
@@ -391,6 +392,7 @@ fn ref_ifl(
                 continue; // every term is an exact zero
             }
             let fv = features[g].as_ref().expect("valid cell in null group");
+            let mut cell = 0.0f64;
             for k in 0..p {
                 let d = grid.value(id, k);
                 let rep = match aggs[k] {
@@ -398,11 +400,12 @@ fn ref_ifl(
                     AggType::Avg | AggType::Mode => fv[k],
                 };
                 if aggs[k] == AggType::Mode {
-                    sum += if d == rep { 0.0 } else { 1.0 };
+                    cell += if d == rep { 0.0 } else { 1.0 };
                 } else if d.abs() > opts.zero_eps {
-                    sum += (d - rep).abs() * (1.0 / d.abs());
+                    cell += (d - rep).abs() * (1.0 / d.abs());
                 }
             }
+            sum += cell;
         }
         partials.push(sum);
     }
@@ -520,8 +523,9 @@ fn ifl_matches_naive_eq3_reference() {
 }
 
 /// The full driver: identical outcome bits at 1, 2, and 8 threads, under
-/// both iteration strategies, and the accepted iteration reproducible
-/// through the reference pipeline at the accepted threshold.
+/// both iteration strategies; every evaluated iteration reproducible
+/// through the reference pipeline at its threshold; and the accepted
+/// iteration reproducible down to the partition and feature bits.
 #[test]
 fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
     let strategies = [
@@ -570,12 +574,26 @@ fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
                     assert_eq!(a.accepted, b.accepted, "{ctx}: iteration verdict");
                 }
             }
+            // Every probed threshold, accepted or not, is exactly what the
+            // scalar reference pipeline computes at that threshold: this is
+            // the independent reference for the driver's per-threshold
+            // evaluation, whatever walk order probed it.
+            let norm = normalize_attributes(grid);
+            for (j, it) in base.iterations.iter().enumerate() {
+                let t = it.min_adjacent_variation;
+                let ctx = format!("grid {i}, {strategy:?}, iteration {j} (θ={t})");
+                let partition = ref_extract(&norm, t);
+                assert_eq!(it.num_groups, partition.num_groups(), "{ctx}: groups");
+                let features = ref_allocate(grid, &partition);
+                let ifl = ref_ifl(grid, &partition, &features, IflOptions::default());
+                assert_eq!(bits(it.ifl), bits(ifl), "{ctx}: ifl bits");
+                assert_eq!(it.accepted, it.ifl <= *theta, "{ctx}: verdict");
+            }
             // The accepted result is exactly what the reference pipeline
             // produces at the accepted threshold (skipped when the driver
             // fell back to the identity partition, whose θ=0 extraction
             // legitimately differs on grids with equal-valued neighbors).
             if base.iterations.iter().any(|it| it.accepted) {
-                let norm = normalize_attributes(grid);
                 let theta_star = base.repartitioned.min_adjacent_variation();
                 let partition = ref_extract(&norm, theta_star);
                 let ctx = format!("grid {i}, {strategy:?}, reference replay");

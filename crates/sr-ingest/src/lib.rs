@@ -7,8 +7,9 @@
 //! maintained as a [`sr_grid::GridDataset`] whose re-partition is kept
 //! current *incrementally*: each batch patches the driver's scan inputs
 //! over the dirty cells ([`sr_core::incremental::ScanCache`]), so an exact
-//! re-partition re-runs only the threshold walk — and is **bit-identical**
-//! to a from-scratch run on the accumulated data.
+//! re-partition re-runs only the threshold walk, localized to the dirty
+//! region — and is **bit-identical** to a from-scratch run on the
+//! accumulated data.
 //!
 //! The normative contract — stream format, collapse semantics, NaN and
 //! empty-cell rules, the dirty-region algorithm, the convergence

@@ -11,7 +11,9 @@
 //! - `repartition --in FILE --theta T [--strided] [--out-grid FILE]
 //!   [--out-groups FILE]`
 //!   runs the framework; optionally writes the reconstructed grid and/or a
-//!   TSV of cell-groups (id, rectangle, features).
+//!   TSV of cell-groups (id, rectangle, features). Grids above 2,000
+//!   cells take the strided walk (`IterationStrategy::for_cells`), as
+//!   `ingest` does; `--strided` forces it at any size.
 //! - `homogeneous --in FILE --rows K --cols K`
 //!   reports the §III-D homogeneous-merge IFL.
 //! - `snapshot --in FILE --theta T --out FILE.snap [--strided]
@@ -367,10 +369,11 @@ fn cmd_repartition(opts: &Opts) -> Result<(), String> {
     let grid = load_grid(required(opts, "in")?).map_err(|e| e.to_string())?;
     let theta: f64 = required(opts, "theta")?.parse().map_err(|_| "bad --theta".to_string())?;
     let mut config = RepartitionConfig::new(theta).map_err(|e| e.to_string())?;
-    if opts.contains_key("strided") || grid.num_cells() > 5_000 {
-        config =
-            config.with_strategy(IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 });
-    }
+    config = config.with_strategy(if opts.contains_key("strided") {
+        IterationStrategy::STRIDED
+    } else {
+        IterationStrategy::for_cells(grid.num_cells())
+    });
     let start = std::time::Instant::now();
     let outcome = Repartitioner::with_config(config)
         .map_err(|e| e.to_string())?
@@ -453,10 +456,11 @@ fn cmd_snapshot(opts: &Opts) -> Result<(), String> {
     let theta: f64 = required(opts, "theta")?.parse().map_err(|_| "bad --theta".to_string())?;
     let out = required(opts, "out")?;
     let mut config = RepartitionConfig::new(theta).map_err(|e| e.to_string())?;
-    if opts.contains_key("strided") || grid.num_cells() > 5_000 {
-        config =
-            config.with_strategy(IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 });
-    }
+    config = config.with_strategy(if opts.contains_key("strided") {
+        IterationStrategy::STRIDED
+    } else {
+        IterationStrategy::for_cells(grid.num_cells())
+    });
     let start = std::time::Instant::now();
     let outcome = Repartitioner::with_config(config)
         .map_err(|e| e.to_string())?
@@ -694,8 +698,7 @@ fn cmd_ingest(opts: &Opts) -> Result<(), String> {
         });
     }
     if opts.contains_key("strided") {
-        config =
-            config.with_strategy(IterationStrategy::Exponential { initial_stride: 8, growth: 1.6 });
+        config = config.with_strategy(IterationStrategy::STRIDED);
     }
     let watch = opts.contains_key("watch");
     let snapshot_out = opts.get("snapshot-out");
