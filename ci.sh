@@ -67,6 +67,17 @@ SR_THREADS=1 cargo test -q --offline -p sr-serve --test prop_v2
 echo "==> snapshot v1/v2 compat (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline -p sr-serve --test prop_v2
 
+# Golden snapshot bytes (crates/sr-serve/tests/golden_bytes.rs): digests
+# of the v1 and v2 bytes of fixed-seed snapshots, and of group adjacency
+# lists, pinned so that no change to the in-memory representation can
+# move a file byte (docs/SNAPSHOT_FORMAT.md). Runs inside the workspace
+# passes too; pinned here at both thread counts.
+echo "==> golden snapshot bytes (SR_THREADS=1)"
+SR_THREADS=1 cargo test -q --offline -p sr-serve --test golden_bytes
+
+echo "==> golden snapshot bytes (SR_THREADS=4)"
+SR_THREADS=4 cargo test -q --offline -p sr-serve --test golden_bytes
+
 # The localized re-partitioning contract (docs/INGESTION.md, "The
 # localized walk"): run_localized over any dirty sequence is bit-identical
 # to the batch driver's hinted walk on the same inputs, at every thread

@@ -1,9 +1,10 @@
 //! Ingestion-tier benchmarks on the paper-scale 100k-cell workload
 //! (320×320 grid): raw binning throughput, the per-batch cost of keeping
 //! the scan inputs current *incrementally* versus the full recompute a
-//! batch pipeline pays, and the exact-repartition cost with and without
-//! the maintained scan cache and the localized walk. Results are exported
-//! to `BENCH_ingest.json` at the workspace root.
+//! batch pipeline pays, the exact-repartition cost with and without the
+//! maintained scan cache and the localized walk, and the in-memory half
+//! of a publish (snapshot build + v2 encode). Results are exported to
+//! `BENCH_ingest.json` at the workspace root.
 //!
 //! The acceptance bars (`docs/INGESTION.md` §7): at ≤10% dirty cells per
 //! batch, incremental maintenance (`ingest/maintain/incremental_*`: bin,
@@ -23,6 +24,7 @@
 
 use criterion::{black_box, Criterion};
 use sr_core::{IterationStrategy, LocalizedState, RepartitionConfig, Repartitioner, ScanCache};
+use sr_datasets::{Dataset, GridSize};
 use sr_grid::{Bounds, CellId, GridDataset, IflOptions};
 use sr_ingest::{CellAccumulators, IngestConfig, IngestEngine, IngestSchema, PointChunk};
 use std::time::Duration;
@@ -275,6 +277,32 @@ fn main() {
             });
             g.finish();
         }
+    }
+
+    // Publish, in memory: what `IngestEngine::publish` encodes before its
+    // temp write + fsync + rename — the snapshot build and the v2 encode
+    // of a 320×320 outcome. The engine is seeded with one point per cell
+    // of the taxi-pickups surface, which keeps tens of thousands of groups
+    // at θ (the smooth surface above merges into a few hundred).
+    {
+        let surface = Dataset::TaxiUnivariate.generate(GridSize::Custom(ROWS, COLS), 1);
+        let mut chunk = PointChunk::with_capacity(surface.num_valid_cells(), 1);
+        for cell in surface.valid_cells() {
+            let (r, c) = surface.cell_pos(cell);
+            let (x, y) = ((c as f64 + 0.5) / COLS as f64, (r as f64 + 0.5) / ROWS as f64);
+            chunk.push(x, y, &[surface.value(cell, 0)]);
+        }
+        let mut engine =
+            IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
+        engine.apply_batch(&chunk).unwrap();
+        let groups = engine.repartition().unwrap().repartitioned.num_groups();
+        println!("publish: taxi-pickups outcome with {groups} groups");
+        let mut g = c.benchmark_group("ingest");
+        g.sample_size(10).measurement_time(Duration::from_secs(2));
+        g.bench_function("publish/snapshot_bytes", |bench| {
+            bench.iter(|| engine.snapshot_bytes().unwrap().len())
+        });
+        g.finish();
     }
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");

@@ -1,7 +1,7 @@
 //! Serving-path benchmarks on a paper-scale (≈36k-cell) snapshot:
-//! snapshot encode/decode for both `sr-snap` formats, query-engine
-//! construction (v1 owned build vs v2 validate-and-borrow), and the three
-//! online query kinds. Results are exported to `BENCH_serve.json` at the
+//! snapshot build from an accepted outcome, snapshot encode/decode for
+//! both `sr-snap` formats, query-engine construction (v1 owned build vs
+//! v2 validate-and-borrow), and the three online query kinds. Results are exported to `BENCH_serve.json` at the
 //! workspace root; `prior/`-prefixed rows keep the v1 startup numbers the
 //! v2 rows are compared against in `docs/PERFORMANCE.md`.
 //!
@@ -55,6 +55,11 @@ fn main() {
     );
 
     let mut c = Criterion::default();
+    // Freezing the accepted outcome: flat table copies plus the group
+    // adjacency pass.
+    c.bench_function("snapshot_build_36k", |bench| {
+        bench.iter(|| Snapshot::build(black_box(rep), &grid, theta).unwrap())
+    });
     c.bench_function("snapshot_encode_36k", |bench| {
         bench.iter(|| snapshot_to_bytes(black_box(&snap)))
     });

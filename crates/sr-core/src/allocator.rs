@@ -53,9 +53,11 @@ fn count_valid_range(words: &[u64], start: usize, len: usize) -> usize {
 
 /// Flat arena of allocated group features: one `p`-wide row of values per
 /// group plus the group's valid-member count, with no per-group heap
-/// allocation. The driver assembles its winner in this form and
-/// materializes the boxed [`Vec<Option<Vec<f64>>>`] form once, for the
-/// accepted result — see [`GroupFeatures::into_options`].
+/// allocation. The driver assembles its winner in this form and hands it
+/// on as is: [`crate::Repartitioned::features`] returns it, and the
+/// serving layer copies its table into snapshots. The boxed
+/// [`Vec<Option<Vec<f64>>>`] form ([`GroupFeatures::into_options`]) is
+/// built only on demand, for the public helpers that return it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFeatures {
     p: usize,
@@ -148,6 +150,22 @@ impl GroupFeatures {
         self.valid_counts[g] as usize
     }
 
+    /// Number of non-null groups.
+    pub fn num_valid_groups(&self) -> usize {
+        self.valid_counts.iter().filter(|&&c| c > 0).count()
+    }
+
+    /// The dense `t × p` value table, row-major by group. Rows of null
+    /// groups hold `0.0`.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Valid-member count per group (0 marks a null group).
+    pub fn valid_counts(&self) -> &[u32] {
+        &self.valid_counts
+    }
+
     /// Assembles an arena from already-aggregated parts — the localized
     /// driver materializes its winner from cached per-rect rows, which were
     /// produced by the same [`allocate_rect_into`] the public kernels use, so
@@ -157,8 +175,9 @@ impl GroupFeatures {
         GroupFeatures { p, values, valid_counts }
     }
 
-    /// Materializes the boxed per-group representation used by the public
-    /// pipeline types (`Repartitioned::features`, snapshots, serving).
+    /// Materializes the boxed per-group representation: one allocation
+    /// per non-null group. Only the public helpers that return this form
+    /// ([`allocate_features`], the §VI streaming state) build it.
     pub fn into_options(self) -> Vec<Option<Vec<f64>>> {
         let p = self.p;
         self.valid_counts

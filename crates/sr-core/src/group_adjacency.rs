@@ -23,8 +23,16 @@ pub fn group_adjacency(partition: &Partition) -> AdjacencyList {
 }
 
 /// [`group_adjacency`] on an explicit pool.
+///
+/// The lists are written straight into the CSR arrays of
+/// [`AdjacencyList`], so the allocation count does not grow with the
+/// group count. The contact graph of a rectangle tiling is planar, so its
+/// directed edges number below `6 t`: the serial path reserves that once,
+/// and the parallel path allocates a few buffers per thread.
 pub fn group_adjacency_with(partition: &Partition, pool: &sr_par::Pool) -> AdjacencyList {
     let n_groups = partition.num_groups();
+    let mut offsets = Vec::with_capacity(n_groups + 1);
+    offsets.push(0u32);
     if pool.threads() <= 1 {
         // One shared stamp array gives O(1) dedup on the serial path; the
         // parallel chunks below use the allocation-free linear dedup
@@ -32,52 +40,56 @@ pub fn group_adjacency_with(partition: &Partition, pool: &sr_par::Pool) -> Adjac
         // neighbor on first encounter in identical probe order, so the
         // lists are the same either way.
         let mut stamp = vec![u32::MAX; n_groups];
-        let neighbors = (0..n_groups)
-            .map(|gid| group_neighbors_stamped(partition, gid as GroupId, &mut stamp))
-            .collect();
-        return AdjacencyList::from_neighbors(neighbors);
+        let mut ids = Vec::with_capacity(6 * n_groups);
+        for gid in 0..n_groups as GroupId {
+            probe_boundary(partition, gid, |other| {
+                if stamp[other as usize] != gid {
+                    stamp[other as usize] = gid;
+                    ids.push(other);
+                }
+            });
+            offsets.push(ids.len() as u32);
+        }
+        return AdjacencyList::from_csr(offsets, ids);
     }
-    let chunks = pool.par_map_chunks(n_groups, sr_par::fixed_grain(n_groups, 64), |range| {
-        range.map(|gid| group_neighbors(partition, gid as GroupId)).collect::<Vec<_>>()
+    // One chunk per thread, each returning its groups' degrees and ids;
+    // the chunks concatenate in group order.
+    let grain = n_groups.div_ceil(pool.threads());
+    let chunks = pool.par_map_chunks(n_groups, grain, |range| {
+        let mut degrees = Vec::with_capacity(range.len());
+        let mut ids = Vec::with_capacity(6 * range.len());
+        for gid in range {
+            let start = ids.len();
+            push_neighbors(partition, gid as GroupId, start, &mut ids);
+            degrees.push((ids.len() - start) as u32);
+        }
+        (degrees, ids)
     });
-    let mut neighbors: Vec<Vec<u32>> = Vec::with_capacity(n_groups);
-    for chunk in chunks {
-        neighbors.extend(chunk);
+    let mut ids = Vec::with_capacity(chunks.iter().map(|(_, ids)| ids.len()).sum());
+    for (degrees, chunk_ids) in chunks {
+        for d in degrees {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        ids.extend_from_slice(&chunk_ids);
     }
-    AdjacencyList::from_neighbors(neighbors)
+    AdjacencyList::from_csr(offsets, ids)
 }
 
-/// Boundary probe of one group: the cells one step outside its four edges,
-/// deduplicated in probe order.
+/// Boundary probe of one group, appending its neighbors to `ids` (whose
+/// entries from `start` on are this group's list so far), deduplicated in
+/// probe order.
 ///
 /// Dedup checks the most recent entry first — consecutive boundary cells
 /// along one edge usually border the *same* neighbor rectangle — then
 /// falls back to a linear scan of the (short) list; this keeps the probe
 /// allocation-free and independent of every other group, unlike the
-/// shared stamp array it replaces.
-fn group_neighbors(partition: &Partition, gid: GroupId) -> Vec<u32> {
-    let mut nlist: Vec<u32> = Vec::new();
+/// shared stamp array of the serial path.
+fn push_neighbors(partition: &Partition, gid: GroupId, start: usize, ids: &mut Vec<u32>) {
     probe_boundary(partition, gid, |other| {
-        if nlist.last() != Some(&other) && !nlist.contains(&other) {
-            nlist.push(other);
+        if ids.len() == start || (ids[ids.len() - 1] != other && !ids[start..].contains(&other)) {
+            ids.push(other);
         }
     });
-    nlist
-}
-
-/// [`group_neighbors`] with a caller-owned stamp array (`stamp[g] == gid`
-/// marks `g` as already listed for the current group) — O(1) dedup for the
-/// serial path. Probe order, and thus the output, matches
-/// [`group_neighbors`] exactly.
-fn group_neighbors_stamped(partition: &Partition, gid: GroupId, stamp: &mut [u32]) -> Vec<u32> {
-    let mut nlist: Vec<u32> = Vec::new();
-    probe_boundary(partition, gid, |other| {
-        if stamp[other as usize] != gid {
-            stamp[other as usize] = gid;
-            nlist.push(other);
-        }
-    });
-    nlist
 }
 
 /// Visits the group of every cell one step outside the four edges of

@@ -39,7 +39,7 @@
 //! rectangle cache survives — it is keyed on raw values and re-validated
 //! against the dirty region).
 
-use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
+use crate::allocator::{allocate_rect_into, GroupFeatures, Scratch};
 use crate::extractor::{probe_anchored_rect, EdgeVariations, RectProbe, VARIATION_SLACK};
 use crate::ifl::{cell_term_at, fold_cell_terms, representative, IflCellCache};
 use crate::incremental::ScanCache;
@@ -928,13 +928,13 @@ impl Repartitioner {
                     epoch,
                     &mut scratch,
                 );
-                Repartitioned::from_parts(grid, partition, features.into_options(), ifl, theta)
+                Repartitioned::from_parts(grid, partition, features, ifl, theta)
             }
             // Nothing accepted (or no adjacent pairs): the identity
             // partition, whose IFL is exactly zero.
             None => {
                 let partition = Partition::identity(rows, cols);
-                let features = allocate_features_with(grid, &partition, pool);
+                let features = GroupFeatures::allocate_with(grid, &partition, pool);
                 Repartitioned::from_parts(grid, partition, features, 0.0, 0.0)
             }
         };
@@ -991,9 +991,10 @@ mod tests {
             bits.push(it.num_groups as u64);
             bits.push(it.accepted as u64);
         }
-        for (g, f) in out.repartitioned.features().iter().enumerate() {
+        let features = out.repartitioned.features();
+        for g in 0..features.num_groups() {
             bits.push(g as u64);
-            if let Some(fv) = f {
+            if let Some(fv) = features.row(g) {
                 bits.extend(fv.iter().map(|v| v.to_bits()));
             }
         }

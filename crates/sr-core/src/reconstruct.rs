@@ -7,6 +7,7 @@
 //! member cell, `Sum` group values are divided by the member count (paper
 //! Example 7: a 2-cell Sum group valued 54 reconstructs to 27 per cell).
 
+use crate::allocator::GroupFeatures;
 use crate::ifl::representative;
 use crate::partition::Partition;
 use sr_grid::{GridDataset, Result};
@@ -20,7 +21,7 @@ use sr_grid::{GridDataset, Result};
 pub fn reconstruct_grid(
     original: &GridDataset,
     partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
+    group_features: &GroupFeatures,
 ) -> Result<GridDataset> {
     let p = original.num_attrs();
     let n_cells = original.num_cells();
@@ -35,7 +36,7 @@ pub fn reconstruct_grid(
     let mut valid = vec![false; n_cells];
     for id in original.valid_cells() {
         let g = partition.group_of(id) as usize;
-        if let Some(fv) = &group_features[g] {
+        if let Some(fv) = group_features.row(g) {
             valid[id as usize] = true;
             for (k, &gv) in fv.iter().enumerate() {
                 data[id as usize * p + k] = representative(gv, aggs[k], valid_counts[g]);
@@ -59,8 +60,7 @@ pub fn reconstruct_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::allocate_features;
-    use crate::ifl::partition_ifl;
+    use crate::ifl::partition_ifl_groups;
     use crate::partition::GroupRect;
     use sr_grid::{information_loss, AggType, Bounds, IflOptions};
 
@@ -80,8 +80,8 @@ mod tests {
         )
         .unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
-        let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[54.0][..]));
+        let feats = GroupFeatures::allocate(&g, &p);
+        assert_eq!(feats.row(0), Some(&[54.0][..]));
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert_eq!(rec.features(0).unwrap(), &[27.0]);
         assert_eq!(rec.features(1).unwrap(), &[27.0]);
@@ -91,7 +91,7 @@ mod tests {
     fn avg_reconstruction_copies_group_value() {
         let g = GridDataset::univariate(1, 2, vec![10.0, 20.0]).unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
-        let feats = allocate_features(&g, &p);
+        let feats = GroupFeatures::allocate(&g, &p);
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert_eq!(rec.features(0).unwrap(), &[15.0]);
         assert_eq!(rec.features(1).unwrap(), &[15.0]);
@@ -103,7 +103,7 @@ mod tests {
         g.set_null(2);
         let norm = sr_grid::normalize_attributes(&g);
         let p = crate::extractor::extract_cell_groups(&norm, 1.0);
-        let feats = allocate_features(&g, &p);
+        let feats = GroupFeatures::allocate(&g, &p);
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert!(!rec.is_valid(2));
         assert_eq!(rec.features(0).unwrap(), &[5.0]);
@@ -120,8 +120,8 @@ mod tests {
         let g = GridDataset::univariate(8, 8, vals).unwrap();
         let norm = sr_grid::normalize_attributes(&g);
         let p = crate::extractor::extract_cell_groups(&norm, 0.15);
-        let feats = allocate_features(&g, &p);
-        let via_partition = partition_ifl(&g, &p, &feats, IflOptions::default());
+        let feats = GroupFeatures::allocate(&g, &p);
+        let via_partition = partition_ifl_groups(&g, &p, &feats, IflOptions::default());
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
         assert!((via_partition - via_grid).abs() < 1e-12);

@@ -18,6 +18,7 @@
 //!   backoff on first rejection, for 100k-cell benchmark runs where the
 //!   distinct-value count makes the faithful walk quadratic in practice.
 
+use crate::allocator::GroupFeatures;
 use crate::group_adjacency::group_adjacency;
 use crate::incremental::ScanCache;
 use crate::localized::LocalizedState;
@@ -129,7 +130,8 @@ pub struct IterationStats {
 #[derive(Debug, Clone)]
 pub struct Repartitioned {
     partition: Partition,
-    features: Vec<Option<Vec<f64>>>,
+    /// The flat feature arena the walk materialized for its winner.
+    features: GroupFeatures,
     ifl: f64,
     min_adjacent_variation: f64,
     attr_names: Vec<String>,
@@ -142,7 +144,7 @@ impl Repartitioned {
     pub(crate) fn from_parts(
         grid: &GridDataset,
         partition: Partition,
-        features: Vec<Option<Vec<f64>>>,
+        features: GroupFeatures,
         ifl: f64,
         min_adjacent_variation: f64,
     ) -> Self {
@@ -163,14 +165,15 @@ impl Repartitioned {
         &self.partition
     }
 
-    /// Allocated group feature vectors (`None` = null group).
-    pub fn features(&self) -> &[Option<Vec<f64>>] {
+    /// Allocated group features: one row per group, `None` rows for null
+    /// groups ([`GroupFeatures::row`]).
+    pub fn features(&self) -> &GroupFeatures {
         &self.features
     }
 
     /// Feature vector of one group.
     pub fn group_feature(&self, g: GroupId) -> Option<&[f64]> {
-        self.features[g as usize].as_deref()
+        self.features.row(g as usize)
     }
 
     /// IFL of this re-partitioned dataset w.r.t. the input grid.
@@ -190,7 +193,7 @@ impl Repartitioned {
 
     /// Number of non-null cell-groups (the training instances).
     pub fn num_valid_groups(&self) -> usize {
-        self.features.iter().filter(|f| f.is_some()).count()
+        self.features.num_valid_groups()
     }
 
     /// Attribute names carried from the input.

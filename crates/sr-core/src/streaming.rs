@@ -76,7 +76,7 @@ impl StreamingRepartitioner {
 
         let rects = partition.rects().to_vec();
         let cell_to_group = partition.cell_to_group().to_vec();
-        let features = rep.features().to_vec();
+        let features = rep.features().clone().into_options();
 
         let mut this = StreamingRepartitioner {
             threshold,

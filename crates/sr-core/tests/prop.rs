@@ -99,7 +99,8 @@ proptest! {
         let p = extract_cell_groups(&norm, theta);
         let feats = allocate_features(&g, &p);
         let direct = partition_ifl(&g, &p, &feats, IflOptions::default());
-        let rec = sr_core::reconstruct_grid(&g, &p, &feats).unwrap();
+        let arena = sr_core::GroupFeatures::allocate(&g, &p);
+        let rec = sr_core::reconstruct_grid(&g, &p, &arena).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
         prop_assert!((direct - via_grid).abs() < 1e-10);
     }

@@ -20,7 +20,7 @@
 //! `SR_THREADS`, which is process-global and racy across parallel tests.
 
 use sr_core::{
-    allocate_features_with, extract_cell_groups_with, partition_ifl_with, GroupRect,
+    allocate_features_with, extract_cell_groups_with, partition_ifl_with, GroupFeatures, GroupRect,
     IterationStrategy, Partition, RepartitionConfig, Repartitioner,
 };
 use sr_grid::{
@@ -430,7 +430,17 @@ fn assert_partitions_equal(a: &Partition, b: &Partition, ctx: &str) {
     }
 }
 
-fn assert_features_equal(a: &[Option<Vec<f64>>], b: &[Option<Vec<f64>>], ctx: &str) {
+/// The feature rows of a flat arena, comparable with [`boxed_rows`].
+fn arena_rows(features: &GroupFeatures) -> Vec<Option<&[f64]>> {
+    (0..features.num_groups()).map(|g| features.row(g)).collect()
+}
+
+/// The feature rows of the boxed per-group form.
+fn boxed_rows(features: &[Option<Vec<f64>>]) -> Vec<Option<&[f64]>> {
+    features.iter().map(Option::as_deref).collect()
+}
+
+fn assert_features_equal(a: &[Option<&[f64]>], b: &[Option<&[f64]>], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: feature table length");
     for (g, (fa, fb)) in a.iter().zip(b).enumerate() {
         match (fa, fb) {
@@ -497,7 +507,8 @@ fn allocation_matches_scalar_gather_reference() {
         let want = ref_allocate(grid, &partition);
         for pool in pools() {
             let got = allocate_features_with(grid, &partition, &pool);
-            assert_features_equal(&got, &want, &format!("grid {i}, {} threads", pool.threads()));
+            let ctx = format!("grid {i}, {} threads", pool.threads());
+            assert_features_equal(&boxed_rows(&got), &boxed_rows(&want), &ctx);
         }
     }
 }
@@ -548,8 +559,8 @@ fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
                     &ctx,
                 );
                 assert_features_equal(
-                    base.repartitioned.features(),
-                    other.repartitioned.features(),
+                    &arena_rows(base.repartitioned.features()),
+                    &arena_rows(other.repartitioned.features()),
                     &ctx,
                 );
                 assert_eq!(
@@ -599,7 +610,8 @@ fn driver_outcome_is_thread_invariant_and_reference_reproducible() {
                 let ctx = format!("grid {i}, {strategy:?}, reference replay");
                 assert_partitions_equal(base.repartitioned.partition(), &partition, &ctx);
                 let features = ref_allocate(grid, &partition);
-                assert_features_equal(base.repartitioned.features(), &features, &ctx);
+                let rows = arena_rows(base.repartitioned.features());
+                assert_features_equal(&rows, &boxed_rows(&features), &ctx);
                 let ifl = ref_ifl(grid, &partition, &features, IflOptions::default());
                 assert_eq!(bits(base.repartitioned.ifl()), bits(ifl), "{ctx}: ifl bits");
             }

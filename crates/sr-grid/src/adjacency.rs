@@ -8,19 +8,57 @@
 
 use crate::dataset::{CellId, GridDataset};
 
-/// Binary-weight adjacency over `n` units (cells or cell-groups).
+/// Binary-weight adjacency over `n` units, stored as compressed sparse
+/// rows (CSR).
 ///
-/// `neighbors[i]` lists the units adjacent to unit `i`; the implied weight
-/// of each listed neighbor is 1 (0 otherwise).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Unit `i`'s neighbors are `ids[offsets[i]..offsets[i + 1]]`; the implied
+/// weight of each listed neighbor is 1 (0 otherwise). Two flat arrays
+/// instead of one vector per unit: building, cloning and dropping a list
+/// costs two allocations whatever `n` is, and the layout is the one the
+/// `sr-snap v2` adjacency section stores.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdjacencyList {
-    neighbors: Vec<Vec<u32>>,
+    /// `n + 1` monotone offsets into `ids`, starting at 0.
+    offsets: Vec<u32>,
+    /// Every unit's neighbor ids, unit after unit.
+    ids: Vec<u32>,
+}
+
+impl Default for AdjacencyList {
+    fn default() -> Self {
+        AdjacencyList { offsets: vec![0], ids: Vec::new() }
+    }
 }
 
 impl AdjacencyList {
     /// Creates an adjacency list from pre-built neighbor vectors.
     pub fn from_neighbors(neighbors: Vec<Vec<u32>>) -> Self {
-        AdjacencyList { neighbors }
+        let total: usize = neighbors.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(neighbors.len() + 1);
+        let mut ids = Vec::with_capacity(total);
+        offsets.push(0);
+        for ns in &neighbors {
+            ids.extend_from_slice(ns);
+            offsets.push(csr_offset(ids.len()));
+        }
+        AdjacencyList { offsets, ids }
+    }
+
+    /// Creates an adjacency list from its CSR arrays: unit `i`'s neighbors
+    /// are `ids[offsets[i]..offsets[i + 1]]`.
+    ///
+    /// # Panics
+    ///
+    /// When `offsets` is empty, does not start at 0, decreases, or does
+    /// not end at `ids.len()`.
+    pub fn from_csr(offsets: Vec<u32>, ids: Vec<u32>) -> Self {
+        assert!(offsets.first() == Some(&0), "CSR offsets must start at 0");
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "CSR offsets must be monotone");
+        assert!(
+            offsets.last() == Some(&csr_offset(ids.len())),
+            "CSR offsets must end at ids.len()"
+        );
+        AdjacencyList { offsets, ids }
     }
 
     /// Rook adjacency (shared edges) over the *valid* cells of a grid.
@@ -28,68 +66,87 @@ impl AdjacencyList {
     pub fn rook_from_grid(grid: &GridDataset) -> Self {
         let rows = grid.rows();
         let cols = grid.cols();
-        let mut neighbors = vec![Vec::new(); rows * cols];
+        let mut offsets = Vec::with_capacity(rows * cols + 1);
+        let mut ids = Vec::with_capacity(4 * grid.num_valid_cells());
+        offsets.push(0);
         for r in 0..rows {
             for c in 0..cols {
                 let id = grid.cell_id(r, c);
-                if !grid.is_valid(id) {
-                    continue;
-                }
-                let mut push = |nid: CellId| {
-                    if grid.is_valid(nid) {
-                        neighbors[id as usize].push(nid);
+                if grid.is_valid(id) {
+                    let mut push = |nid: CellId| {
+                        if grid.is_valid(nid) {
+                            ids.push(nid);
+                        }
+                    };
+                    if r > 0 {
+                        push(grid.cell_id(r - 1, c));
                     }
-                };
-                if r > 0 {
-                    push(grid.cell_id(r - 1, c));
+                    if r + 1 < rows {
+                        push(grid.cell_id(r + 1, c));
+                    }
+                    if c > 0 {
+                        push(grid.cell_id(r, c - 1));
+                    }
+                    if c + 1 < cols {
+                        push(grid.cell_id(r, c + 1));
+                    }
                 }
-                if r + 1 < rows {
-                    push(grid.cell_id(r + 1, c));
-                }
-                if c > 0 {
-                    push(grid.cell_id(r, c - 1));
-                }
-                if c + 1 < cols {
-                    push(grid.cell_id(r, c + 1));
-                }
+                offsets.push(csr_offset(ids.len()));
             }
         }
-        AdjacencyList { neighbors }
+        AdjacencyList { offsets, ids }
     }
 
     /// Number of units.
     pub fn len(&self) -> usize {
-        self.neighbors.len()
+        self.offsets.len() - 1
     }
 
     /// Whether there are no units at all.
     pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
+        self.len() == 0
     }
 
     /// Neighbors of unit `i`.
     #[inline]
     pub fn neighbors(&self, i: u32) -> &[u32] {
-        &self.neighbors[i as usize]
+        let i = i as usize;
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Degree (neighbor count) of unit `i`.
     #[inline]
     pub fn degree(&self, i: u32) -> usize {
-        self.neighbors[i as usize].len()
+        let i = i as usize;
+        (self.offsets[i + 1] - self.offsets[i]) as usize
+    }
+
+    /// The CSR offsets: `len() + 1` monotone values starting at 0.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every unit's neighbor ids, unit after unit (the CSR id array).
+    pub fn neighbor_ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Iterates the neighbor lists in unit order.
+    fn lists(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.offsets.windows(2).map(|w| &self.ids[w[0] as usize..w[1] as usize])
     }
 
     /// Total number of directed edges (Σ degrees). For a symmetric list this
     /// is twice the undirected edge count, and equals `Σᵢ Σⱼ wᵢⱼ` in Eq. (4).
     pub fn total_weight(&self) -> f64 {
-        self.neighbors.iter().map(Vec::len).sum::<usize>() as f64
+        self.ids.len() as f64
     }
 
     /// Checks that the relation is symmetric (i ∈ N(j) ⇔ j ∈ N(i)).
     pub fn is_symmetric(&self) -> bool {
-        for (i, ns) in self.neighbors.iter().enumerate() {
+        for (i, ns) in self.lists().enumerate() {
             for &j in ns {
-                if !self.neighbors[j as usize].contains(&(i as u32)) {
+                if !self.neighbors(j).contains(&(i as u32)) {
                     return false;
                 }
             }
@@ -103,9 +160,8 @@ impl AdjacencyList {
     /// Row standardization is the convention the lag/error estimators use;
     /// with binary weights it is the neighbor mean.
     pub fn spatial_lag(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.neighbors.len(), "spatial_lag: length mismatch");
-        self.neighbors
-            .iter()
+        assert_eq!(x.len(), self.len(), "spatial_lag: length mismatch");
+        self.lists()
             .map(|ns| {
                 if ns.is_empty() {
                     0.0
@@ -118,15 +174,15 @@ impl AdjacencyList {
 
     /// Unstandardized binary lag: `(W x)ᵢ = Σ_{j ∈ N(i)} xⱼ`.
     pub fn binary_lag(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.neighbors.len(), "binary_lag: length mismatch");
-        self.neighbors.iter().map(|ns| ns.iter().map(|&j| x[j as usize]).sum::<f64>()).collect()
+        assert_eq!(x.len(), self.len(), "binary_lag: length mismatch");
+        self.lists().map(|ns| ns.iter().map(|&j| x[j as usize]).sum::<f64>()).collect()
     }
 
     /// Restricts the adjacency to a subset of units given by `keep` (one
     /// flag per unit), remapping ids to the compacted index space. Used when
     /// training on the valid-cell subset of a grid.
     pub fn restrict(&self, keep: &[bool]) -> AdjacencyList {
-        assert_eq!(keep.len(), self.neighbors.len(), "restrict: mask length mismatch");
+        assert_eq!(keep.len(), self.len(), "restrict: mask length mismatch");
         let mut remap = vec![u32::MAX; keep.len()];
         let mut next = 0u32;
         for (i, &k) in keep.iter().enumerate() {
@@ -135,22 +191,23 @@ impl AdjacencyList {
                 next += 1;
             }
         }
-        let mut out = Vec::with_capacity(next as usize);
-        for (i, ns) in self.neighbors.iter().enumerate() {
-            if !keep[i] {
-                continue;
+        let mut offsets = Vec::with_capacity(next as usize + 1);
+        let mut ids = Vec::new();
+        offsets.push(0);
+        for (ns, &k) in self.lists().zip(keep) {
+            if k {
+                ids.extend(ns.iter().map(|&j| remap[j as usize]).filter(|&m| m != u32::MAX));
+                offsets.push(csr_offset(ids.len()));
             }
-            out.push(
-                ns.iter()
-                    .filter_map(|&j| {
-                        let m = remap[j as usize];
-                        (m != u32::MAX).then_some(m)
-                    })
-                    .collect(),
-            );
         }
-        AdjacencyList { neighbors: out }
+        AdjacencyList { offsets, ids }
     }
+}
+
+/// A neighbor-id count as a CSR offset. Offsets are `u32`, like the ids
+/// and the v2 snapshot section they are stored in.
+fn csr_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("adjacency exceeds u32::MAX neighbor ids")
 }
 
 #[cfg(test)]
@@ -215,6 +272,24 @@ mod tests {
     fn lag_of_isolated_unit_is_zero() {
         let adj = AdjacencyList::from_neighbors(vec![vec![], vec![]]);
         assert_eq!(adj.spatial_lag(&[5.0, 7.0]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn csr_and_nested_constructors_agree() {
+        let nested = AdjacencyList::from_neighbors(vec![vec![1, 2], vec![], vec![0]]);
+        let csr = AdjacencyList::from_csr(vec![0, 2, 2, 3], vec![1, 2, 0]);
+        assert_eq!(nested, csr);
+        assert_eq!((csr.offsets(), csr.neighbor_ids()), (&[0, 2, 2, 3][..], &[1, 2, 0][..]));
+        assert_eq!((csr.len(), csr.degree(1), csr.neighbors(2)), (3, 0, &[0][..]));
+        let empty = AdjacencyList::default();
+        assert!(empty.is_empty());
+        assert_eq!(empty, AdjacencyList::from_neighbors(Vec::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "CSR offsets must end at ids.len()")]
+    fn csr_offsets_must_cover_the_ids() {
+        AdjacencyList::from_csr(vec![0, 1], vec![4, 5]);
     }
 
     #[test]

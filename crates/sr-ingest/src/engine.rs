@@ -25,7 +25,7 @@ use sr_core::repartition::{
     IterationStrategy, RepartitionConfig, RepartitionOutcome, Repartitioner,
 };
 use sr_grid::{Bounds, CellId, GridDataset, IflOptions};
-use sr_serve::{save_snapshot_v2, snapshot_to_bytes_v2, Snapshot};
+use sr_serve::{save_snapshot_bytes, snapshot_to_bytes_v2, Snapshot};
 use std::path::Path;
 
 /// Configuration of an [`IngestEngine`].
@@ -239,13 +239,21 @@ impl IngestEngine {
     /// serving [`sr_serve::SnapshotCache`] polling the path either keeps
     /// the old bytes or sees the new ones, never a torn file.
     ///
-    /// Emits an `ingest.publish` span and bumps `ingest.publishes_total`,
-    /// or `ingest.publish_failures_total` when the build/write fails (the
-    /// previous snapshot on disk stays intact either way).
+    /// Emits an `ingest.publish` span with two children,
+    /// `ingest.publish.encode` (snapshot build + v2 encode) and
+    /// `ingest.publish.write` (temp write + fsync + rename), and bumps
+    /// `ingest.publishes_total`, or `ingest.publish_failures_total` when
+    /// the build/write fails (the previous snapshot on disk stays intact
+    /// either way).
     pub fn publish(&self, path: impl AsRef<Path>) -> Result<()> {
         let mut span = sr_obs::span("ingest.publish");
-        let result = self.build_snapshot().and_then(|snapshot| {
-            save_snapshot_v2(&snapshot, path.as_ref()).map_err(IngestError::Serve)
+        let encoded = {
+            let _encode = sr_obs::span("ingest.publish.encode");
+            self.snapshot_bytes()
+        };
+        let result = encoded.and_then(|bytes| {
+            let _write = sr_obs::span("ingest.publish.write");
+            save_snapshot_bytes(&bytes, path.as_ref()).map_err(IngestError::Serve)
         });
         let metrics = sr_obs::Registry::global();
         match &result {

@@ -15,8 +15,9 @@
 //! ## Reload and degradation
 //!
 //! [`SnapshotCache::get_serve`] is the serving-path lookup: it
-//! fingerprints the file (mtime + length) on every call, reloads when the
-//! file changed, and — crucially — **keeps the last good entry resident
+//! fingerprints the file (mtime, length and, on Unix, device + inode) on
+//! every call, reloads when the file changed, and — crucially — **keeps
+//! the last good entry resident
 //! when a reload fails**, returning it marked [`Served::stale`] instead
 //! of surfacing the error. Reload attempts retry under a seeded
 //! decorrelated-jitter [`Backoff`] (hermetic, `docs/ROBUSTNESS.md` has
@@ -48,15 +49,31 @@ use std::time::{Duration, SystemTime};
 /// the key `Eq + Hash` without floating-point surprises).
 type Key = (PathBuf, u64);
 
-/// Change-detection fingerprint: modification time and length. Either
-/// changing (a rewrite always changes mtime; a torn overwrite virtually
-/// always changes length) triggers a reload; an unreadable fingerprint
-/// (file deleted) reads as "changed" so the reload path decides.
-type Fingerprint = (SystemTime, u64);
+/// Change-detection fingerprint: modification time, length, and the
+/// file's identity (device, inode) on Unix. Any of them changing triggers
+/// a reload: an in-place rewrite changes mtime, a torn overwrite virtually
+/// always changes length, and an atomic publish renames a new inode over
+/// the path — which catches a same-length republish within one mtime
+/// tick. An unreadable fingerprint (file deleted) reads as "changed" so
+/// the reload path decides.
+type Fingerprint = (SystemTime, u64, (u64, u64));
 
 fn fingerprint(path: &Path) -> Option<Fingerprint> {
     let meta = std::fs::metadata(path).ok()?;
-    Some((meta.modified().ok()?, meta.len()))
+    Some((meta.modified().ok()?, meta.len(), file_identity(&meta)))
+}
+
+/// The (device, inode) pair of a file.
+#[cfg(unix)]
+fn file_identity(meta: &std::fs::Metadata) -> (u64, u64) {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+/// No portable file identity off Unix: mtime and length decide alone.
+#[cfg(not(unix))]
+fn file_identity(_: &std::fs::Metadata) -> (u64, u64) {
+    (0, 0)
 }
 
 #[derive(Debug, Clone)]
@@ -488,6 +505,32 @@ mod tests {
         let third = cache.get_serve(&paths[0], 0.05).unwrap();
         assert!(Arc::ptr_eq(&third.engine, &second.engine));
         assert_eq!(cache.hits(), 1);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Regression test: two atomic publishes of the same length, back to
+    /// back, can share an mtime tick. The second must still be served —
+    /// its rename put a new inode at the path.
+    #[test]
+    fn same_length_republish_is_served() {
+        let dir = std::env::temp_dir().join(format!("sr_cache_same_len_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.snap");
+        let vals: Vec<f64> = (0..36).map(|j| 10.0 + (j / 6) as f64 * 0.1).collect();
+        let grid = GridDataset::univariate(6, 6, vals).unwrap();
+        let out = repartition(&grid, 0.05).unwrap();
+        // θ lives in a fixed-width field: the two files differ in bytes
+        // but not in length.
+        let first = Snapshot::build(&out.repartitioned, &grid, 0.05).unwrap();
+        let second = Snapshot::build(&out.repartitioned, &grid, 0.07).unwrap();
+        let cache = SnapshotCache::new(2);
+        crate::save_snapshot_v2(&first, &path).unwrap();
+        assert_eq!(cache.get_serve(&path, 0.05).unwrap().engine.theta(), 0.05);
+        crate::save_snapshot_v2(&second, &path).unwrap();
+        let served = cache.get_serve(&path, 0.05).unwrap();
+        assert!(!served.stale);
+        assert_eq!(served.engine.theta(), 0.07, "the second publish must be served");
+        assert_eq!(cache.reloads(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -68,8 +68,8 @@ pub use query::{
     NearestGroup, PointAnswer, QueryEngine, Stats, WindowAnswer, WindowGroupPart, WindowScatter,
 };
 pub use snapshot::{
-    load_snapshot, load_snapshot_with, read_snapshot, save_snapshot, save_snapshot_with,
-    snapshot_from_bytes, snapshot_to_bytes, write_snapshot, Snapshot,
+    load_snapshot, load_snapshot_with, read_snapshot, save_snapshot, save_snapshot_bytes,
+    save_snapshot_with, snapshot_from_bytes, snapshot_to_bytes, write_snapshot, Snapshot,
 };
 pub use sr_fault::{Backoff, FaultPlan};
 pub use sr_obs::Registry;

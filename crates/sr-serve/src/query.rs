@@ -27,7 +27,7 @@
 //! point/window/knn query bit-identically (`docs/SNAPSHOT_FORMAT.md`).
 
 use crate::index::{RectIndex, RectIndexView};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{set_bits, Snapshot};
 use crate::v2::SnapshotV2;
 use sr_core::{representative, GroupId, GroupRect, Partition};
 use sr_grid::{AdjacencyList, AggType, Bounds, CellId};
@@ -222,15 +222,14 @@ impl Derived {
         let t = partition.num_groups();
         let p = snapshot.num_attrs();
         let mut valid_counts = vec![0u32; t];
-        for (cell, &v) in snapshot.valid_mask().iter().enumerate() {
-            if v {
-                valid_counts[partition.group_of(cell as CellId) as usize] += 1;
-            }
+        let cell_to_group = partition.cell_to_group();
+        for cell in set_bits(snapshot.valid_words()) {
+            valid_counts[cell_to_group[cell] as usize] += 1;
         }
         let aggs = snapshot.agg_types();
         let mut reps = vec![0.0f64; t * p];
-        for (g, fv) in snapshot.features().iter().enumerate() {
-            if let Some(fv) = fv {
+        for g in 0..t {
+            if let Some(fv) = snapshot.feature(g as GroupId) {
                 for (k, &v) in fv.iter().enumerate() {
                     reps[g * p + k] = representative(v, aggs[k], valid_counts[g] as usize);
                 }
@@ -430,7 +429,7 @@ impl QueryEngine {
     /// Whether `cell` is valid (non-null) in the original dataset.
     pub fn cell_valid(&self, cell: CellId) -> bool {
         match &self.repr {
-            Repr::Owned(o) => o.snapshot.valid_mask()[cell as usize],
+            Repr::Owned(o) => o.snapshot.cell_valid(cell),
             Repr::V2(v) => v.cell_valid(cell),
         }
     }
@@ -460,7 +459,7 @@ impl QueryEngine {
     /// groups.
     pub fn feature(&self, g: GroupId) -> Option<&[f64]> {
         match &self.repr {
-            Repr::Owned(o) => o.snapshot.features()[g as usize].as_deref(),
+            Repr::Owned(o) => o.snapshot.feature(g),
             Repr::V2(v) => v.feature(g),
         }
     }
@@ -470,8 +469,8 @@ impl QueryEngine {
         match &self.repr {
             Repr::Owned(o) => {
                 let p = o.snapshot.num_attrs();
-                o.snapshot.features()[g as usize]
-                    .is_some()
+                o.snapshot
+                    .featured(g)
                     .then(|| &o.derived.reps[g as usize * p..(g as usize + 1) * p])
             }
             Repr::V2(v) => v.rep(g),
@@ -480,7 +479,7 @@ impl QueryEngine {
 
     fn featured(&self, g: GroupId) -> bool {
         match &self.repr {
-            Repr::Owned(o) => o.snapshot.features()[g as usize].is_some(),
+            Repr::Owned(o) => o.snapshot.featured(g),
             Repr::V2(v) => v.featured(g),
         }
     }
@@ -801,11 +800,17 @@ mod tests {
         (QueryEngine::new(snap), grid)
     }
 
+    /// The §III-C reconstruction of the run [`engine_and_grid`] serves
+    /// (the driver is deterministic, so re-running it reproduces the run).
+    fn reconstruction(grid: &GridDataset) -> GridDataset {
+        let rep = repartition(grid, 0.08).unwrap().repartitioned;
+        reconstruct_grid(grid, rep.partition(), rep.features()).unwrap()
+    }
+
     #[test]
     fn cell_values_match_reconstruct_grid_exactly() {
         let (engine, grid) = engine_and_grid();
-        let snap = engine.to_snapshot();
-        let rec = reconstruct_grid(&grid, snap.partition(), snap.features()).unwrap();
+        let rec = reconstruction(&grid);
         for cell in 0..grid.num_cells() as CellId {
             match engine.cell_values(cell) {
                 Some(vals) => assert_eq!(Some(vals), rec.features(cell).as_deref(), "cell {cell}"),
@@ -835,8 +840,7 @@ mod tests {
     #[test]
     fn window_matches_per_cell_scan() {
         let (engine, grid) = engine_and_grid();
-        let snap = engine.to_snapshot();
-        let rec = reconstruct_grid(&grid, snap.partition(), snap.features()).unwrap();
+        let rec = reconstruction(&grid);
         let b = grid.bounds();
         // A window covering cell rows 2..=6, cols 3..=9.
         let lat_lo = b.lat_min + 2.05 * 0.1;

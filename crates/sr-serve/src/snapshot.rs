@@ -31,7 +31,7 @@
 
 use crate::{Result, ServeError};
 use sr_core::{GroupRect, Partition, Repartitioned};
-use sr_grid::{AdjacencyList, AggType, Bounds, GridDataset};
+use sr_grid::{AdjacencyList, AggType, Bounds, CellId, GridDataset};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -43,7 +43,42 @@ pub(crate) const MAX_CELLS: usize = 1 << 28;
 /// Upper bound on attributes per cell.
 pub(crate) const MAX_ATTRS: usize = 4096;
 
+/// Bit `i` of a packed bitmap (bit `i % 64` of word `i / 64`).
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words[i >> 6] >> (i & 63) & 1 == 1
+}
+
+/// Sets bit `i` of a packed bitmap.
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], i: usize) {
+    words[i >> 6] |= 1u64 << (i & 63);
+}
+
+/// Packs little-endian bitmap bytes (bit `i % 8` of byte `i / 8`) into
+/// `⌈n_bits / 64⌉` words; bits at and above `n_bits` are dropped.
+pub(crate) fn words_from_le_bytes(bytes: &[u8], n_bits: usize) -> Vec<u64> {
+    let mut words = vec![0u64; n_bits.div_ceil(64)];
+    for (w, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
+        let mut b = [0u8; 8];
+        b[..chunk.len()].copy_from_slice(chunk);
+        *w = u64::from_le_bytes(b);
+    }
+    if !n_bits.is_multiple_of(64) {
+        if let Some(last) = words.last_mut() {
+            *last &= (1u64 << (n_bits % 64)) - 1;
+        }
+    }
+    words
+}
+
 /// An immutable, serializable view of one accepted re-partitioning run.
+///
+/// Every per-cell and per-group table is stored flat, in the layout of the
+/// `sr-snap v2` section it is written to: the validity and group-presence
+/// bitmaps as `u64` words, the raw features as one dense `t × p` table,
+/// and the adjacency lists as CSR arrays. Building a snapshot is a few
+/// copies plus one adjacency pass, and encoding it copies whole tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     rows: usize,
@@ -55,9 +90,16 @@ pub struct Snapshot {
     attr_names: Vec<String>,
     agg_types: Vec<AggType>,
     integer_attrs: Vec<bool>,
-    valid: Vec<bool>,
+    /// Cell validity: bit `i` is cell `i`; bits at and above `rows · cols`
+    /// are zero.
+    valid: Vec<u64>,
     partition: Partition,
-    features: Vec<Option<Vec<f64>>>,
+    /// Group presence: bit `g` is set when group `g` carries a feature
+    /// row; bits at and above the group count are zero.
+    presence: Vec<u64>,
+    /// The dense `t × p` raw feature table, row-major by group. Rows of
+    /// absent groups are zero bits.
+    features: Vec<f64>,
     adjacency: AdjacencyList,
 }
 
@@ -74,23 +116,53 @@ impl Snapshot {
                 "repartitioned result does not match the original grid's shape".into(),
             ));
         }
-        Snapshot::from_parts(
+        if original.num_cells() > MAX_CELLS || original.num_attrs() > MAX_ATTRS {
+            return Err(ServeError::Invalid("grid or schema exceeds format limits".into()));
+        }
+        // Presence is "has a valid member" (Algorithm 2 gives every such
+        // group a feature vector); absent rows are forced to +0.0 bits.
+        let arena = rep.features();
+        let p = arena.num_attrs();
+        let mut presence = vec![0u64; arena.num_groups().div_ceil(64)];
+        let mut features = arena.values().to_vec();
+        for (g, &count) in arena.valid_counts().iter().enumerate() {
+            if count > 0 {
+                set_bit(&mut presence, g);
+            } else {
+                features[g * p..(g + 1) * p].fill(0.0);
+            }
+        }
+        let s = Snapshot {
+            rows: original.rows(),
+            cols: original.cols(),
             theta,
-            rep.ifl(),
-            rep.min_adjacent_variation(),
-            original.bounds(),
-            rep.attr_names().to_vec(),
-            rep.agg_types().to_vec(),
-            rep.integer_attrs().to_vec(),
-            original.valid_mask().to_vec(),
-            rep.partition().clone(),
-            rep.features().to_vec(),
-            rep.adjacency(),
-        )
+            ifl: rep.ifl(),
+            min_adjacent_variation: rep.min_adjacent_variation(),
+            bounds: original.bounds(),
+            attr_names: rep.attr_names().to_vec(),
+            agg_types: rep.agg_types().to_vec(),
+            integer_attrs: rep.integer_attrs().to_vec(),
+            valid: original.valid_words().to_vec(),
+            partition: rep.partition().clone(),
+            presence,
+            features,
+            adjacency: rep.adjacency(),
+        };
+        // Only the driver builds a `Repartitioned`, so its partition tiles
+        // the grid and its tables agree in length; the one cross-check
+        // left is that `original` is the grid the run saw.
+        s.check_valid_cells_featured().map(|()| s)
     }
 
     /// Assembles a snapshot from raw parts, checking every cross-section
-    /// invariant the binary reader also enforces.
+    /// invariant the binary readers also enforce.
+    ///
+    /// `valid` is the cell validity bitmap (bit `i % 64` of word `i / 64`
+    /// is cell `i`, `⌈rows·cols / 64⌉` words); `presence` is the group
+    /// presence bitmap in the same packing (`⌈t / 64⌉` words); `features`
+    /// is the dense `t × p` raw feature table, row-major by group, whose
+    /// rows of absent groups must be zero bits. Bits past the last cell or
+    /// group must be zero.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         theta: f64,
@@ -100,9 +172,10 @@ impl Snapshot {
         attr_names: Vec<String>,
         agg_types: Vec<AggType>,
         integer_attrs: Vec<bool>,
-        valid: Vec<bool>,
+        valid: Vec<u64>,
         partition: Partition,
-        features: Vec<Option<Vec<f64>>>,
+        presence: Vec<u64>,
+        features: Vec<f64>,
         adjacency: AdjacencyList,
     ) -> Result<Snapshot> {
         let s = Snapshot {
@@ -117,6 +190,7 @@ impl Snapshot {
             integer_attrs,
             valid,
             partition,
+            presence,
             features,
             adjacency,
         };
@@ -137,25 +211,32 @@ impl Snapshot {
         if self.agg_types.len() != p || self.integer_attrs.len() != p {
             return invalid("attribute metadata lengths differ".into());
         }
-        if self.valid.len() != cells {
-            return invalid("validity bitmap length != rows * cols".into());
+        if !bitmap_fits(&self.valid, cells) {
+            return invalid("validity bitmap does not hold exactly rows * cols bits".into());
         }
         let t = self.partition.num_groups();
         if t == 0 || t > cells {
             return invalid(format!("group count {t} out of range for {cells} cells"));
         }
-        if self.features.len() != t {
-            return invalid("feature table length != group count".into());
+        if !bitmap_fits(&self.presence, t) {
+            return invalid("presence bitmap does not hold exactly one bit per group".into());
+        }
+        if self.features.len() != t * p {
+            return invalid("feature table length != groups * attributes".into());
         }
         if self.adjacency.len() != t {
             return invalid("adjacency length != group count".into());
         }
         // The rectangles must tile the grid, and cIndex must agree with
         // gIndex exactly (the release-mode version of Partition::new's
-        // debug assertions — snapshot bytes are untrusted input).
+        // debug assertions — snapshot bytes are untrusted input). Per-rect
+        // agreement forbids overlap, so with the area sum it is complete.
+        let cell_to_group = self.partition.cell_to_group();
+        if cell_to_group.len() != cells {
+            return invalid("cell-to-group index length != rows * cols".into());
+        }
         let mut counted = 0usize;
-        for gid in 0..t as u32 {
-            let rect = self.partition.rect(gid);
+        for (gid, rect) in self.partition.rects().iter().enumerate() {
             if rect.r0 > rect.r1
                 || rect.c0 > rect.c1
                 || rect.r1 as usize >= self.rows
@@ -167,8 +248,11 @@ impl Snapshot {
             if counted > cells {
                 return invalid("group rectangles overlap or exceed the grid".into());
             }
-            for cell in self.partition.cells_iter(gid) {
-                if self.partition.group_of(cell) != gid {
+            let (c0, c1) = (rect.c0 as usize, rect.c1 as usize);
+            for row in rect.r0 as usize..=rect.r1 as usize {
+                let run = &cell_to_group[row * self.cols + c0..=row * self.cols + c1];
+                if let Some(off) = run.iter().position(|&g| g as usize != gid) {
+                    let cell = row * self.cols + c0 + off;
                     return invalid(format!(
                         "cell {cell} not mapped to its containing group {gid}"
                     ));
@@ -178,27 +262,28 @@ impl Snapshot {
         if counted != cells {
             return invalid("group rectangles do not tile the grid".into());
         }
-        for (gid, fv) in self.features.iter().enumerate() {
-            if let Some(fv) = fv {
-                if fv.len() != p {
-                    return invalid(format!("group {gid} feature vector length != num_attrs"));
-                }
+        for (g, row) in self.features.chunks_exact(p).enumerate() {
+            if !bit(&self.presence, g) && row.iter().any(|v| v.to_bits() != 0) {
+                return invalid(format!("absent group {g} has a nonzero feature row"));
             }
         }
-        // A valid cell must belong to a featured group (Algorithm 2 gives
-        // features to every group with at least one valid member); the
-        // query engine relies on this to equate the validity bitmap with
-        // reconstruction validity.
-        for (cell, &v) in self.valid.iter().enumerate() {
-            if v && self.features[self.partition.group_of(cell as u32) as usize].is_none() {
-                return invalid(format!("valid cell {cell} belongs to a null group"));
-            }
+        if let Some(&nb) = self.adjacency.neighbor_ids().iter().find(|&&nb| nb as usize >= t) {
+            return invalid(format!("out-of-range neighbor {nb}"));
         }
-        for gid in 0..t as u32 {
-            for &nb in self.adjacency.neighbors(gid) {
-                if nb as usize >= t {
-                    return invalid(format!("group {gid} has out-of-range neighbor {nb}"));
-                }
+        self.check_valid_cells_featured()
+    }
+
+    /// A valid cell must belong to a featured group (Algorithm 2 gives
+    /// features to every group with at least one valid member); the query
+    /// engine relies on this to equate the validity bitmap with
+    /// reconstruction validity.
+    fn check_valid_cells_featured(&self) -> Result<()> {
+        let cell_to_group = self.partition.cell_to_group();
+        for cell in set_bits(&self.valid) {
+            if !bit(&self.presence, cell_to_group[cell] as usize) {
+                return Err(ServeError::Invalid(format!(
+                    "valid cell {cell} belongs to a null group"
+                )));
             }
         }
         Ok(())
@@ -259,9 +344,15 @@ impl Snapshot {
         &self.integer_attrs
     }
 
-    /// The original grid's validity bitmap (cell id → non-null).
-    pub fn valid_mask(&self) -> &[bool] {
+    /// The original grid's validity bitmap: bit `i % 64` of word `i / 64`
+    /// is cell `i`.
+    pub fn valid_words(&self) -> &[u64] {
         &self.valid
+    }
+
+    /// Whether `cell` is valid (non-null) in the original dataset.
+    pub fn cell_valid(&self, cell: CellId) -> bool {
+        bit(&self.valid, cell as usize)
     }
 
     /// The frozen partition.
@@ -269,8 +360,26 @@ impl Snapshot {
         &self.partition
     }
 
-    /// Allocated group feature vectors (`None` = null group).
-    pub fn features(&self) -> &[Option<Vec<f64>>] {
+    /// The group-presence bitmap: bit `g % 64` of word `g / 64` is set
+    /// when group `g` carries a feature row.
+    pub fn presence_words(&self) -> &[u64] {
+        &self.presence
+    }
+
+    /// Whether group `g` carries a feature row.
+    pub fn featured(&self, g: u32) -> bool {
+        bit(&self.presence, g as usize)
+    }
+
+    /// The allocated feature row of group `g`; `None` for a null group.
+    pub fn feature(&self, g: u32) -> Option<&[f64]> {
+        let p = self.num_attrs();
+        self.featured(g).then(|| &self.features[g as usize * p..(g as usize + 1) * p])
+    }
+
+    /// The dense `t × p` raw feature table, row-major by group (rows of
+    /// null groups are zero).
+    pub fn feature_table(&self) -> &[f64] {
         &self.features
     }
 
@@ -278,6 +387,27 @@ impl Snapshot {
     pub fn adjacency(&self) -> &AdjacencyList {
         &self.adjacency
     }
+}
+
+/// Whether `words` holds exactly `n_bits` bits: the right word count and
+/// no bit set at or above `n_bits`.
+fn bitmap_fits(words: &[u64], n_bits: usize) -> bool {
+    words.len() == n_bits.div_ceil(64)
+        && (n_bits.is_multiple_of(64) || words.last().is_some_and(|w| w >> (n_bits % 64) == 0))
+}
+
+/// The indices of the set bits of a packed bitmap, ascending.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -474,13 +604,13 @@ pub fn snapshot_to_bytes(s: &Snapshot) -> Vec<u8> {
         });
         buf.push(s.integer_attrs[k] as u8);
     }
-    let mut bitmap = vec![0u8; cells.div_ceil(8)];
-    for (i, &v) in s.valid.iter().enumerate() {
-        if v {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
+    // The bitmap bytes are the validity words' little-endian bytes, cut
+    // to ⌈cells / 8⌉.
+    let bitmap_end = buf.len() + cells.div_ceil(8);
+    for w in &s.valid {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    buf.extend_from_slice(&bitmap);
+    buf.truncate(bitmap_end);
     for rect in s.partition.rects() {
         for v in [rect.r0, rect.r1, rect.c0, rect.c1] {
             buf.extend_from_slice(&v.to_le_bytes());
@@ -489,15 +619,14 @@ pub fn snapshot_to_bytes(s: &Snapshot) -> Vec<u8> {
     for &g in s.partition.cell_to_group() {
         buf.extend_from_slice(&g.to_le_bytes());
     }
-    for fv in &s.features {
-        match fv {
-            Some(fv) => {
-                buf.push(1);
-                for &v in fv {
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+    for (g, row) in s.features.chunks_exact(p).enumerate() {
+        if bit(&s.presence, g) {
+            buf.push(1);
+            for &v in row {
+                buf.extend_from_slice(&v.to_bits().to_le_bytes());
             }
-            None => buf.push(0),
+        } else {
+            buf.push(0);
         }
     }
     for gid in 0..t as u32 {
@@ -629,8 +758,7 @@ pub fn snapshot_from_bytes(buf: &[u8]) -> Result<Snapshot> {
         integer_attrs.push(integer);
     }
 
-    let bitmap = r.bytes(cells.div_ceil(8))?;
-    let valid: Vec<bool> = (0..cells).map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1).collect();
+    let valid = words_from_le_bytes(r.bytes(cells.div_ceil(8))?, cells);
 
     let mut groups = Vec::with_capacity(num_groups);
     for _ in 0..num_groups {
@@ -672,36 +800,39 @@ pub fn snapshot_from_bytes(buf: &[u8]) -> Result<Snapshot> {
     }
     let partition = Partition::new(rows, cols, groups, cell_to_group);
 
-    let mut features = Vec::with_capacity(num_groups);
-    for gid in 0..num_groups {
+    let mut presence = vec![0u64; num_groups.div_ceil(64)];
+    let mut features = vec![0.0f64; num_groups * num_attrs];
+    for (gid, row) in features.chunks_exact_mut(num_attrs).enumerate() {
         match r.u8()? {
-            0 => features.push(None),
+            0 => {}
             1 => {
-                let mut fv = Vec::with_capacity(num_attrs);
-                for _ in 0..num_attrs {
-                    fv.push(r.f64()?);
+                set_bit(&mut presence, gid);
+                for v in row {
+                    *v = r.f64()?;
                 }
-                features.push(Some(fv));
             }
             other => return r.err(format!("group {gid} presence flag must be 0/1, got {other}")),
         }
     }
 
-    let mut neighbors = Vec::with_capacity(num_groups);
+    // Every neighbor id takes four of the remaining bytes, which bounds
+    // the id array without trusting any count in the file.
+    let mut offsets = Vec::with_capacity(num_groups + 1);
+    let mut ids = Vec::with_capacity((payload.len() - r.pos) / 4);
+    offsets.push(0u32);
     for gid in 0..num_groups {
         let degree = r.u32()? as usize;
         if degree > num_groups {
             return r.err(format!("group {gid} degree {degree} exceeds group count"));
         }
-        let mut nbs = Vec::with_capacity(degree);
         for _ in 0..degree {
             let nb = r.u32()?;
             if nb as usize >= num_groups {
                 return r.err(format!("group {gid} has out-of-range neighbor {nb}"));
             }
-            nbs.push(nb);
+            ids.push(nb);
         }
-        neighbors.push(nbs);
+        offsets.push(ids.len() as u32);
     }
     if r.pos != payload.len() {
         return r.err(format!("{} trailing bytes after the last section", payload.len() - r.pos));
@@ -717,8 +848,9 @@ pub fn snapshot_from_bytes(buf: &[u8]) -> Result<Snapshot> {
         integer_attrs,
         valid,
         partition,
+        presence,
         features,
-        AdjacencyList::from_neighbors(neighbors),
+        AdjacencyList::from_csr(offsets, ids),
     )
 }
 
@@ -753,6 +885,13 @@ pub fn save_snapshot_with(
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<()> {
     write_bytes_atomic(&snapshot_to_bytes(s), path.as_ref(), plan)
+}
+
+/// Saves already-encoded snapshot bytes (either format) to `path`
+/// atomically, exactly as [`save_snapshot`] writes: temp file, fsync,
+/// rename. Lets a publisher time the encoding and the write apart.
+pub fn save_snapshot_bytes(bytes: &[u8], path: impl AsRef<Path>) -> Result<()> {
+    write_bytes_atomic(bytes, path.as_ref(), None)
 }
 
 /// The atomic temp-file + fsync + rename writer shared by the v1 and v2
@@ -808,29 +947,27 @@ pub fn load_snapshot_with(
     path: impl AsRef<Path>,
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<Snapshot> {
-    let buf = read_file_bytes(path.as_ref(), plan)?;
-    match crate::v2::peek_version(&buf) {
-        Some(2) => crate::v2::snapshot_v2_from_bytes(&buf)?.to_snapshot(),
-        _ => snapshot_from_bytes(&buf),
+    let buf = read_file_aligned(path.as_ref(), plan)?;
+    match crate::v2::peek_version(buf.as_slice()) {
+        Some(2) => crate::v2::snapshot_v2_from_aligned(buf)?.to_snapshot(),
+        _ => snapshot_from_bytes(buf.as_slice()),
     }
 }
 
-/// Reads a whole file, optionally through a [`sr_fault::FaultPlan`]'s
-/// `read.*` faults. Shared by the v1 and v2 load paths so both see the
-/// same injected failures.
-pub(crate) fn read_file_bytes(path: &Path, plan: Option<&sr_fault::FaultPlan>) -> Result<Vec<u8>> {
+/// Reads a whole file straight into an 8-aligned buffer, optionally
+/// through a [`sr_fault::FaultPlan`]'s `read.*` faults. Shared by the v1
+/// and v2 load paths so both see the same injected failures; a v2 file
+/// is then validated in place, with no second copy.
+pub(crate) fn read_file_aligned(
+    path: &Path,
+    plan: Option<&sr_fault::FaultPlan>,
+) -> Result<crate::AlignedBytes> {
     let file = std::fs::File::open(path)?;
-    let mut buf = Vec::new();
-    match plan {
-        Some(plan) => {
-            plan.wrap_read(file).read_to_end(&mut buf)?;
-        }
-        None => {
-            let mut file = file;
-            file.read_to_end(&mut buf)?;
-        }
-    }
-    Ok(buf)
+    let hint = file.metadata().map_or(0, |m| m.len() as usize);
+    Ok(match plan {
+        Some(plan) => crate::AlignedBytes::read_from(plan.wrap_read(file), hint)?,
+        None => crate::AlignedBytes::read_from(file, hint)?,
+    })
 }
 
 #[cfg(test)]

@@ -42,8 +42,8 @@
 use crate::index::{self, Node, RectIndexView};
 use crate::query::{centroid_of, Derived, QueryEngine};
 use crate::snapshot::{
-    crc32, read_file_bytes, snapshot_from_bytes, write_bytes_atomic, Snapshot, MAGIC, MAX_ATTRS,
-    MAX_CELLS,
+    bit, crc32, read_file_aligned, snapshot_from_bytes, write_bytes_atomic, Snapshot, MAGIC,
+    MAX_ATTRS, MAX_CELLS,
 };
 use crate::{Result, ServeError};
 use sr_core::{representative, GroupRect, Partition};
@@ -144,6 +144,37 @@ impl AlignedBytes {
         a
     }
 
+    /// Reads `r` to its end straight into an aligned buffer, so a file
+    /// is copied once, by the kernel. `hint` (the expected length) sizes
+    /// the buffer up front, one word larger so the read that reports the
+    /// end needs no growth; a longer stream grows it by doubling.
+    pub(crate) fn read_from(
+        mut r: impl std::io::Read,
+        hint: usize,
+    ) -> std::io::Result<AlignedBytes> {
+        let mut words = vec![0u64; hint / 8 + 1];
+        let mut len = 0usize;
+        loop {
+            if len == 8 * words.len() {
+                words.resize(2 * words.len(), 0);
+            }
+            // SAFETY: `words` owns `8 · words.len()` initialized bytes,
+            // and `len` never exceeds that.
+            let spare = unsafe {
+                std::slice::from_raw_parts_mut(
+                    words.as_mut_ptr().cast::<u8>().add(len),
+                    8 * words.len() - len,
+                )
+            };
+            match r.read(spare) {
+                Ok(0) => return Ok(AlignedBytes { words, len }),
+                Ok(n) => len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -185,6 +216,7 @@ impl std::fmt::Debug for AlignedBytes {
 /// `u32`/`f64` with no padding.
 unsafe trait SectionPod: Copy {}
 unsafe impl SectionPod for u32 {}
+unsafe impl SectionPod for u64 {}
 unsafe impl SectionPod for f64 {}
 unsafe impl SectionPod for [f64; 2] {}
 unsafe impl SectionPod for GroupRect {}
@@ -259,7 +291,9 @@ fn nodes_to_bytes(nodes: &[Node]) -> &[u8] {
 /// offsets (the zero initialization doubles as every pad byte), and the
 /// section table is filled in afterwards with one CRC pass per section
 /// over the finished ranges. No intermediate per-section buffers, no
-/// reallocation, no second copy.
+/// reallocation, no second copy. The snapshot already stores the primary
+/// tables in their section layouts (bitmap words, the dense feature
+/// table, CSR adjacency), so every section is a copy of whole arrays.
 pub fn snapshot_to_bytes_v2(s: &Snapshot) -> Vec<u8> {
     let derived = Derived::compute(s);
     let cells = s.num_cells();
@@ -270,7 +304,7 @@ pub fn snapshot_to_bytes_v2(s: &Snapshot) -> Vec<u8> {
 
     // Exact section lengths (zero padding to 8 included).
     let schema_content: usize = (0..p).map(|k| 4 + s.attr_names()[k].len()).sum();
-    let adj_total: usize = (0..t as u32).map(|g| s.adjacency().neighbors(g).len()).sum();
+    let adj_total = s.adjacency().neighbor_ids().len();
     let presence_padded = align8(t.div_ceil(8));
     let adj_offsets_padded = align8(4 * (t + 1));
     let idx_lo_padded = align8(4 * (num_levels + 1));
@@ -337,47 +371,26 @@ pub fn snapshot_to_bytes_v2(s: &Snapshot) -> Vec<u8> {
         o += 2;
     }
 
-    // 3 validity: LSB-first cell bitmap, zero-padded to 8.
-    let sec = &mut buf[starts[2]..];
-    for (i, &v) in s.valid_mask().iter().enumerate() {
-        if v {
-            sec[i / 8] |= 1 << (i % 8);
-        }
-    }
+    // 3 validity: LSB-first cell bitmap, zero-padded to 8 — exactly the
+    // little-endian bytes of the validity words.
+    put(&mut buf, starts[2], pod_bytes(s.valid_words()));
 
     // 4 partition: t rectangles (4 × u32 each) then cells × u32
     // cell→group, zero-padded to 8.
     let o = put(&mut buf, starts[3], pod_bytes(s.partition().rects()));
     put(&mut buf, o, pod_bytes(s.partition().cell_to_group()));
 
-    // 5 features: LSB-first group presence bitmap (padded to 8), then the
-    // dense t × p raw feature table; rows of null groups are zero bits.
-    {
-        let sec = &mut buf[starts[4]..starts[4] + sec_lens[4]];
-        let mut o = presence_padded;
-        for (g, fv) in s.features().iter().enumerate() {
-            if let Some(fv) = fv {
-                sec[g / 8] |= 1 << (g % 8);
-                sec[o..o + 8 * p].copy_from_slice(pod_bytes(fv));
-            }
-            o += 8 * p;
-        }
-    }
+    // 5 features: LSB-first group presence bitmap (the presence words,
+    // padded to 8), then the dense t × p raw feature table; rows of null
+    // groups are zero bits.
+    let o = put(&mut buf, starts[4], pod_bytes(s.presence_words()));
+    debug_assert_eq!(o, starts[4] + presence_padded);
+    put(&mut buf, o, pod_bytes(s.feature_table()));
 
     // 6 adjacency: CSR — (t + 1) × u32 offsets (padded to 8), then
-    // offsets[t] × u32 neighbor ids (padded to 8). offsets[0] is the
-    // buffer's zero initialization.
-    {
-        let sec = &mut buf[starts[5]..starts[5] + sec_lens[5]];
-        let mut total = 0u32;
-        let mut o = adj_offsets_padded;
-        for gid in 0..t as u32 {
-            let neighbors = s.adjacency().neighbors(gid);
-            total += neighbors.len() as u32;
-            put(sec, 4 * (gid as usize + 1), &total.to_le_bytes());
-            o = put(sec, o, pod_bytes(neighbors));
-        }
-    }
+    // offsets[t] × u32 neighbor ids (padded to 8).
+    put(&mut buf, starts[5], pod_bytes(s.adjacency().offsets()));
+    put(&mut buf, starts[5] + adj_offsets_padded, pod_bytes(s.adjacency().neighbor_ids()));
 
     // 7 counts, 8 reps, 9 centroids: whole-array copies.
     put(&mut buf, starts[6], pod_bytes(&derived.valid_counts));
@@ -1231,19 +1244,32 @@ impl SnapshotV2 {
 
     /// Clones the adjacency lists into their owned form.
     pub fn clone_adjacency(&self) -> AdjacencyList {
-        AdjacencyList::from_neighbors(
-            (0..self.groups as u32).map(|g| self.neighbors(g).to_vec()).collect(),
+        AdjacencyList::from_csr(
+            cast_slice(&self.buf()[self.layout.adj_offsets.clone()]).to_vec(),
+            cast_slice(&self.buf()[self.layout.adj_neighbors.clone()]).to_vec(),
         )
+    }
+
+    /// A bitmap section as `u64` words: `⌈n_bits / 64⌉` words from
+    /// `start`. Validation proved the pad bytes and the bits past
+    /// `n_bits` zero.
+    fn words(&self, start: usize, n_bits: usize) -> &[u64] {
+        cast_slice(&self.buf()[start..start + 8 * n_bits.div_ceil(64)])
     }
 
     /// Materializes the buffer into an owned [`Snapshot`] — the bridge
     /// to every v1 consumer (shard splitting, v2 → v1 migration). A
-    /// v1 → v2 → v1 round trip is byte-identical.
+    /// v1 → v2 → v1 round trip is byte-identical. Every table is one copy
+    /// of its section; the rows of absent groups are zeroed, whatever the
+    /// file held there.
     pub fn to_snapshot(&self) -> Result<Snapshot> {
-        let valid: Vec<bool> =
-            (0..self.num_cells()).map(|c| self.cell_valid(c as CellId)).collect();
-        let features: Vec<Option<Vec<f64>>> =
-            (0..self.groups as u32).map(|g| self.feature(g).map(<[f64]>::to_vec)).collect();
+        let presence = self.words(self.layout.presence.start, self.groups).to_vec();
+        let mut features: Vec<f64> = cast_slice(&self.buf()[self.layout.features.clone()]).to_vec();
+        for (g, row) in features.chunks_exact_mut(self.attrs).enumerate() {
+            if !bit(&presence, g) {
+                row.fill(0.0);
+            }
+        }
         Snapshot::from_parts(
             self.theta,
             self.ifl,
@@ -1252,8 +1278,9 @@ impl SnapshotV2 {
             self.attr_names.clone(),
             self.agg_types.clone(),
             self.integer_attrs.clone(),
-            valid,
+            self.words(self.layout.validity.start, self.num_cells()).to_vec(),
             self.clone_partition(),
+            presence,
             features,
             self.clone_adjacency(),
         )
@@ -1300,8 +1327,11 @@ pub fn load_engine_with(
     path: impl AsRef<Path>,
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<QueryEngine> {
-    let buf = read_file_bytes(path.as_ref(), plan)?;
-    engine_from_bytes(&buf)
+    let buf = read_file_aligned(path.as_ref(), plan)?;
+    match peek_version(buf.as_slice()) {
+        Some(FORMAT_V2) => Ok(QueryEngine::from_v2(snapshot_v2_from_aligned(buf)?)),
+        _ => Ok(QueryEngine::new(snapshot_from_bytes(buf.as_slice())?)),
+    }
 }
 
 /// Builds a [`QueryEngine`] from snapshot bytes of either format.

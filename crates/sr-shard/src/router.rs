@@ -460,9 +460,9 @@ fn refresh_fused(fast: &mut FastState, scatter_only: bool) {
 /// Fuses the loaded shard engines back into the original unsharded
 /// engine. The shard split masks the validity bitmap and feature table
 /// by owner and copies everything else verbatim, and ownership
-/// partitions both sets exactly — so OR-ing the bitmaps and taking each
-/// group's one `Some` feature reconstructs the original snapshot
-/// field-for-field. `None` when the loaded snapshots disagree on the
+/// partitions both sets exactly — so OR-ing the validity and presence
+/// bitmaps and taking each group's one present feature row reconstructs
+/// the original snapshot field-for-field. `None` when the loaded snapshots disagree on the
 /// partition (mid-redeploy mixed versions): those cannot be fused and
 /// the caller stays on the scatter path.
 fn fuse_engines(engines: &[&Arc<QueryEngine>]) -> Option<Arc<QueryEngine>> {
@@ -475,17 +475,23 @@ fn fuse_engines(engines: &[&Arc<QueryEngine>]) -> Option<Arc<QueryEngine>> {
     if engines[1..].iter().any(|e| e.clone_partition() != partition) {
         return None;
     }
-    let mut valid = vec![false; base.num_cells()];
-    let mut features: Vec<Option<Vec<f64>>> = vec![None; partition.num_groups()];
+    let (t, p) = (partition.num_groups(), base.num_attrs());
+    let mut valid = vec![0u64; base.num_cells().div_ceil(64)];
+    let mut presence = vec![0u64; t.div_ceil(64)];
+    let mut features = vec![0.0f64; t * p];
     for e in engines {
         for cell in 0..e.num_cells() as u32 {
             if e.cell_valid(cell) {
-                valid[cell as usize] = true;
+                valid[cell as usize >> 6] |= 1 << (cell & 63);
             }
         }
-        for (g, feature) in features.iter_mut().enumerate() {
-            if let Some(fv) = e.feature(g as u32) {
-                *feature = Some(fv.to_vec());
+        for g in 0..t as u32 {
+            if let Some(fv) = e.feature(g) {
+                if fv.len() != p {
+                    return None;
+                }
+                presence[g as usize >> 6] |= 1 << (g & 63);
+                features[g as usize * p..(g as usize + 1) * p].copy_from_slice(fv);
             }
         }
     }
@@ -499,6 +505,7 @@ fn fuse_engines(engines: &[&Arc<QueryEngine>]) -> Option<Arc<QueryEngine>> {
         base.integer_attrs().to_vec(),
         valid,
         partition,
+        presence,
         features,
         base.clone_adjacency(),
     )

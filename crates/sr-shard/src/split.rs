@@ -103,22 +103,32 @@ pub fn plan_shards(partition: &Partition, order: &[u32], k: usize) -> Vec<ShardP
 /// serializable in either `sr-snap` format.
 pub fn shard_snapshot(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Result<Snapshot> {
     let partition = full.partition();
-    let mut owned = vec![false; partition.num_groups()];
+    let p = full.num_attrs();
+    let mut owned = vec![0u64; partition.num_groups().div_ceil(64)];
     for &g in &order[plan.start..plan.start + plan.count] {
-        owned[g as usize] = true;
+        owned[g as usize >> 6] |= 1 << (g & 63);
     }
-    let valid: Vec<bool> = full
-        .valid_mask()
-        .iter()
-        .enumerate()
-        .map(|(cell, &v)| v && owned[partition.group_of(cell as u32) as usize])
-        .collect();
-    let features: Vec<Option<Vec<f64>>> = full
-        .features()
-        .iter()
-        .enumerate()
-        .map(|(g, fv)| if owned[g] { fv.clone() } else { None })
-        .collect();
+    let is_owned = |g: usize| owned[g >> 6] >> (g & 63) & 1 == 1;
+    let cell_to_group = partition.cell_to_group();
+    let mut valid = full.valid_words().to_vec();
+    for (w, word) in valid.iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            if !is_owned(cell_to_group[64 * w + b as usize] as usize) {
+                *word &= !(1u64 << b);
+            }
+        }
+    }
+    let presence: Vec<u64> =
+        full.presence_words().iter().zip(&owned).map(|(have, own)| have & own).collect();
+    let mut features = full.feature_table().to_vec();
+    for (g, row) in features.chunks_exact_mut(p).enumerate() {
+        if !is_owned(g) {
+            row.fill(0.0);
+        }
+    }
     Ok(Snapshot::from_parts(
         full.theta(),
         full.ifl(),
@@ -129,6 +139,7 @@ pub fn shard_snapshot(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Resul
         full.integer_attrs().to_vec(),
         valid,
         partition.clone(),
+        presence,
         features,
         full.adjacency().clone(),
     )?)
@@ -142,7 +153,7 @@ fn centroid_bbox(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Option<(f6
     let lon_step = (bounds.lon_max - bounds.lon_min) / full.cols() as f64;
     let mut bbox: Option<(f64, f64, f64, f64)> = None;
     for &g in &order[plan.start..plan.start + plan.count] {
-        if full.features()[g as usize].is_none() {
+        if !full.featured(g) {
             continue;
         }
         let rect = full.partition().rect(g);
@@ -156,6 +167,11 @@ fn centroid_bbox(full: &Snapshot, order: &[u32], plan: &ShardPlan) -> Option<(f6
         });
     }
     bbox
+}
+
+/// Set bits in a packed bitmap.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Splits `full` into `opts.shards` shard snapshots under `dir`, writes
@@ -202,8 +218,8 @@ pub fn write_shards(
         cols: full.cols(),
         groups: full.partition().num_groups(),
         cells: full.num_cells(),
-        valid_cells: full.valid_mask().iter().filter(|&&v| v).count(),
-        valid_groups: full.features().iter().filter(|f| f.is_some()).count(),
+        valid_cells: popcount(full.valid_words()),
+        valid_groups: popcount(full.presence_words()),
         attrs: full.num_attrs(),
         theta: full.theta(),
         ifl: full.ifl(),
@@ -272,8 +288,8 @@ mod tests {
             let shard = shard_snapshot(&snap, &order, plan).unwrap();
             // Same partition, masked validity/features.
             assert_eq!(shard.partition(), snap.partition());
-            valid_union += shard.valid_mask().iter().filter(|&&v| v).count();
-            featured_union += shard.features().iter().filter(|f| f.is_some()).count();
+            valid_union += popcount(shard.valid_words());
+            featured_union += popcount(shard.presence_words());
             // Round-trips through both snapshot codecs.
             let v1 = sr_serve::snapshot_to_bytes(&shard);
             assert_eq!(sr_serve::snapshot_from_bytes(&v1).unwrap(), shard);
@@ -284,8 +300,8 @@ mod tests {
             );
         }
         // Masks partition the original validity and feature sets exactly.
-        assert_eq!(valid_union, snap.valid_mask().iter().filter(|&&v| v).count());
-        assert_eq!(featured_union, snap.features().iter().filter(|f| f.is_some()).count());
+        assert_eq!(valid_union, popcount(snap.valid_words()));
+        assert_eq!(featured_union, popcount(snap.presence_words()));
     }
 
     #[test]

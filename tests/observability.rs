@@ -148,3 +148,39 @@ fn cache_counters_flow_into_registry() {
     assert!(text.contains("counter serve.cache.evictions_total 1"), "{text}");
     assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 2, 1));
 }
+
+#[test]
+fn ingest_publish_emits_encode_and_write_children() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let schema = IngestSchema::parse("v:mean").unwrap();
+    let mut engine = IngestEngine::new(IngestConfig::new(8, 8, schema, 0.1)).unwrap();
+    let mut chunk = spatial_repartition::ingest::PointChunk::with_capacity(64, 1);
+    for i in 0..64 {
+        let (x, y) = ((i % 8) as f64 / 8.0 + 0.01, (i / 8) as f64 / 8.0 + 0.01);
+        chunk.push(x, y, &[10.0 + (i / 8) as f64]);
+    }
+    engine.apply_batch(&chunk).unwrap();
+    engine.repartition().unwrap();
+    let path = std::env::temp_dir().join(format!("sr_obs_publish_{}.snap", std::process::id()));
+
+    let collector = Arc::new(obs::MemoryCollector::new());
+    obs::set_subscriber(collector.clone());
+    engine.publish(&path).unwrap();
+    obs::clear_subscriber();
+    std::fs::remove_file(&path).ok();
+
+    let publish = collector.find("ingest.publish").expect("publish span");
+    assert!(publish.parent.is_none(), "ingest.publish is a root span");
+    assert_eq!(publish.field("ok"), Some(&obs::Value::U64(1)));
+    let children: Vec<&str> = collector.children_of(publish.id).iter().map(|s| s.name).collect();
+    assert_eq!(
+        children,
+        ["ingest.publish.encode", "ingest.publish.write"],
+        "publish has exactly the documented children, in order"
+    );
+    for phase in ["ingest.publish.encode", "ingest.publish.write"] {
+        let span = collector.find(phase).unwrap();
+        assert_eq!(span.depth, 1, "{phase} nests one level under ingest.publish");
+        assert!(collector.children_of(span.id).is_empty(), "{phase} is a leaf");
+    }
+}

@@ -53,7 +53,7 @@ fn serve_queries_match_reconstruction_under_concurrency() {
     std::fs::remove_file(&path).ok();
     assert_eq!(reloaded, snap, "snapshot file round trip must be lossless");
 
-    let reference = reconstruct_grid(&grid, snap.partition(), snap.features()).unwrap();
+    let reference = reconstruct_grid(&grid, rep.partition(), rep.features()).unwrap();
     let engine = Arc::new(QueryEngine::new(reloaded));
     let mut handle = serve(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = handle.addr();
