@@ -1,9 +1,12 @@
 //! Serving-path benchmarks on a paper-scale (≈36k-cell) snapshot:
 //! snapshot build from an accepted outcome, snapshot encode/decode for
-//! both `sr-snap` formats, query-engine construction (v1 owned build vs
-//! v2 validate-and-borrow), and the three online query kinds. Results are exported to `BENCH_serve.json` at the
-//! workspace root; `prior/`-prefixed rows keep the v1 startup numbers the
-//! v2 rows are compared against in `docs/PERFORMANCE.md`.
+//! both `sr-snap` formats, query-engine construction (`QueryEngine::new`
+//! over an owned snapshot is an in-memory v2 encode plus validation;
+//! loading v2 bytes is validation alone; cloning a validated engine
+//! shares its buffer), and the three online query kinds. Results are
+//! exported to `BENCH_serve.json` at the workspace root; `seed/`- and
+//! `prior/`-prefixed rows are earlier rounds' numbers, compared against
+//! in `docs/PERFORMANCE.md`.
 //!
 //! Run: `cargo bench -p sr-bench --bench serve_queries`
 
@@ -69,8 +72,8 @@ fn main() {
     c.bench_function("query_engine_build_36k", |bench| {
         bench.iter(|| QueryEngine::new(black_box(snap.clone())))
     });
-    // v2 startup path: encode, validate (the whole load-time cost), and
-    // borrowed-engine construction on top of a validated buffer.
+    // v2 startup path: encode, validate (the whole load-time cost), and a
+    // clone of a validated engine (it shares the buffer).
     c.bench_function("snapshot_encode_v2_36k", |bench| {
         bench.iter(|| snapshot_to_bytes_v2(black_box(&snap)))
     });
@@ -78,9 +81,7 @@ fn main() {
         bench.iter(|| snapshot_v2_from_bytes(black_box(&bytes_v2)).unwrap())
     });
     let v2 = snapshot_v2_from_bytes(&bytes_v2).unwrap();
-    c.bench_function("engine_build_v2_36k", |bench| {
-        bench.iter(|| QueryEngine::from_v2(black_box(v2.clone())))
-    });
+    c.bench_function("engine_build_v2_36k", |bench| bench.iter(|| black_box(&v2).clone()));
     c.bench_function("point_query", |bench| {
         bench.iter(|| engine.point(black_box(lat), black_box(lon)))
     });

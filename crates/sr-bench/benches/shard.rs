@@ -2,7 +2,8 @@
 //! point/window/knn latency through a [`sr_shard::ShardRouter`] at
 //! `K ∈ {1, 4, 8}` shards against the plain [`sr_serve::QueryEngine`],
 //! plus the split/write cost itself. Results are exported to
-//! `BENCH_shard.json` at the workspace root.
+//! `BENCH_shard.json` at the workspace root; `prior/`-prefixed rows are
+//! an earlier round's numbers, compared against in `docs/PERFORMANCE.md`.
 //!
 //! The acceptance bar (`docs/SHARDING.md`): at `K = 4`, window and knn
 //! p50 must be no worse than unsharded. The default (fused fast path)

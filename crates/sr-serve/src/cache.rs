@@ -7,10 +7,10 @@
 //! snapshot — and evicts the least recently used entry once `capacity`
 //! is exceeded. Engines are handed out as `Arc`s, so an eviction never
 //! invalidates in-flight queries. Loads go through
-//! [`crate::load_engine_with`], so either snapshot format serves: v1
-//! files decode into the owned engine, v2 files validate in place and
-//! serve borrowed, which makes cache misses and reloads a
-//! section-validation pass instead of a full decode + engine build.
+//! [`crate::load_engine_with`], so either snapshot format serves: v2
+//! files validate in place and serve borrowed, which makes cache misses
+//! and reloads a section-validation pass; v1 files are decoded and
+//! transcoded to v2 first, a full decode plus an encode.
 //!
 //! ## Reload and degradation
 //!
@@ -34,8 +34,7 @@
 //! `/metrics` and `/stats` endpoints read the very same cells as the
 //! accessors here — the two can never disagree.
 
-use crate::query::QueryEngine;
-use crate::v2::load_engine_with;
+use crate::v2::{load_engine_with, QueryEngine};
 use crate::Result;
 use sr_fault::{Backoff, FaultPlan};
 use sr_obs::{Counter, Registry};

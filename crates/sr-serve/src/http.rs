@@ -59,12 +59,13 @@
 //! `serve.errors_total` only.
 
 use crate::cache::{Served, SnapshotCache};
-use crate::query::{NearestGroup, PointAnswer, QueryEngine, WindowAnswer};
+use crate::query::{NearestGroup, PointAnswer, WindowAnswer};
+use crate::v2::QueryEngine;
 use crate::Result;
 use sr_fault::FaultPlan;
 use sr_obs::{Counter, Histogram, Registry};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -97,7 +98,9 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Worker threads handling connections.
     pub threads: usize,
-    /// Cap on the request head (request line + headers) in bytes.
+    /// Cap on the request head (request line + headers) in bytes. A head
+    /// that does not end within it is answered `431`, and nothing past
+    /// the cap is read.
     pub max_request_bytes: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
@@ -598,16 +601,27 @@ fn handle_connection(
         return;
     }
     let _ = stream.set_read_timeout(Some(config.read_timeout));
+    // The head reader stops one byte past the cap, so neither a long
+    // request line nor a long header line is ever buffered beyond it.
+    let cap = config.max_request_bytes;
     let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => s.take((cap as u64).saturating_add(1)),
         Err(_) => return,
     });
+    let too_large = || {
+        metrics.requests_total.inc();
+        metrics.errors_total.inc();
+        respond(&stream, 431, CONTENT_TYPE_JSON, &json_error("request head too large"), &[]);
+    };
     let mut request_line = String::new();
-    let mut total = 0usize;
-    if reader.read_line(&mut request_line).is_err() {
-        return; // timeout or reset before a full request line
+    let mut total = match reader.read_line(&mut request_line) {
+        Ok(n) => n,
+        Err(_) => return, // timeout or reset before a full request line
+    };
+    if total > cap {
+        too_large();
+        return;
     }
-    total += request_line.len();
     // Drain the headers (ignored — no endpoint needs them) up to the cap.
     loop {
         let mut line = String::new();
@@ -615,20 +629,12 @@ fn handle_connection(
             Ok(0) => break,
             Ok(n) => {
                 total += n;
+                if total > cap {
+                    too_large();
+                    return;
+                }
                 if line == "\r\n" || line == "\n" {
                     break;
-                }
-                if total > config.max_request_bytes {
-                    metrics.requests_total.inc();
-                    metrics.errors_total.inc();
-                    respond(
-                        &stream,
-                        431,
-                        CONTENT_TYPE_JSON,
-                        &json_error("request head too large"),
-                        &[],
-                    );
-                    return;
                 }
             }
             Err(_) => return,

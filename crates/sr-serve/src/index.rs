@@ -1,6 +1,6 @@
 //! A packed, Hilbert-sorted rectangle index over cell-group bounds.
 //!
-//! [`QueryEngine`](crate::query::QueryEngine) used to answer window and
+//! [`QueryEngine`](crate::QueryEngine) used to answer window and
 //! knn queries with a linear scan over every group. This index replaces
 //! those scans: group ids are sorted by the Hilbert key of their
 //! rectangle centers (so spatially close groups sit in the same leaf —
@@ -22,10 +22,9 @@
 //!
 //! Storage is three flat arrays — `entries`, `nodes` (all levels
 //! concatenated, leaves first), `level_offsets` — so the sr-snap v2
-//! format can serialize the index verbatim and serve it *borrowed*: the
-//! query algorithms live on [`RectIndexView`], which works equally over
-//! the owned arrays or over slices cast straight out of a validated
-//! snapshot section.
+//! encoder can serialize the index verbatim and the engine can serve it
+//! *borrowed*: the query algorithms live on [`RectIndexView`], over
+//! slices cast straight out of a validated snapshot section.
 
 use sr_core::GroupRect;
 use std::cmp::Ordering;
@@ -105,9 +104,8 @@ pub(crate) struct RectIndex {
     pub(crate) level_offsets: Vec<u32>,
 }
 
-/// Borrowed form of [`RectIndex`]: the query algorithms live here so
-/// they run identically over owned arrays and over slices cast out of a
-/// validated v2 snapshot section.
+/// Borrowed form of [`RectIndex`], as the engine casts it out of a
+/// validated v2 snapshot section: the query algorithms live here.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RectIndexView<'a> {
     pub(crate) entries: &'a [u32],
@@ -177,8 +175,11 @@ impl Ord for DistGroup {
 }
 
 impl KBest {
-    fn new(k: usize) -> Self {
-        KBest { k, heap: BinaryHeap::with_capacity(k + 1) }
+    /// A set keeping the `k` best of at most `candidates` pushes: the
+    /// heap is sized by the smaller of the two, so a `k` past the
+    /// candidate count allocates nothing extra.
+    fn new(k: usize, candidates: usize) -> Self {
+        KBest { k, heap: BinaryHeap::with_capacity(k.min(candidates) + 1) }
     }
 
     fn push(&mut self, d2: f64, gid: u32) {
@@ -318,15 +319,6 @@ impl RectIndex {
         let (nodes, level_offsets) = pack_levels(&entries, rects, centroids);
         RectIndex { entries, nodes, level_offsets }
     }
-
-    /// Borrowed view carrying the query algorithms.
-    pub(crate) fn view(&self) -> RectIndexView<'_> {
-        RectIndexView {
-            entries: &self.entries,
-            nodes: &self.nodes,
-            level_offsets: &self.level_offsets,
-        }
-    }
 }
 
 impl<'a> RectIndexView<'a> {
@@ -424,7 +416,7 @@ impl<'a> RectIndexView<'a> {
             let node_lo = i as usize * span;
             node_lo < pos_hi && node_lo + span > pos_lo
         };
-        let mut best = KBest::new(k);
+        let mut best = KBest::new(k, (pos_hi - pos_lo).min(self.entries.len()));
         let mut queue: BinaryHeap<QueueItem> = BinaryHeap::new();
         let top = self.num_levels() - 1;
         for (i, node) in self.level(top).iter().enumerate() {
@@ -503,6 +495,18 @@ fn empty_node(start: u32, end: u32) -> Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RectIndex {
+        /// Borrowed view over the owned arrays, so the query algorithms
+        /// can be tested without an encoded snapshot.
+        fn view(&self) -> RectIndexView<'_> {
+            RectIndexView {
+                entries: &self.entries,
+                nodes: &self.nodes,
+                level_offsets: &self.level_offsets,
+            }
+        }
+    }
 
     /// A synthetic partition: `side × side` unit rects, centroid = cell
     /// center in a unit geo square.

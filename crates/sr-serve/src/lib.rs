@@ -5,16 +5,19 @@
 //! `θ`. This crate is the online side: it freezes an accepted
 //! [`sr_core::Repartitioned`] result into a versioned, checksummed binary
 //! *snapshot* — either the stream-decoded `sr-snap v1` ([`snapshot`]) or
-//! the zero-copy, section-mapped `sr-snap v2` ([`v2`]) that is validated
-//! once and then served borrowed — answers spatial queries against it at
-//! cell-group granularity ([`query`]) with exactly the §III-C
-//! reconstruction semantics, keeps recently used snapshots warm in an LRU
-//! cache ([`cache`]), and exposes the whole thing over a dependency-free
-//! HTTP/1.1 server ([`http`]). `docs/SNAPSHOT_FORMAT.md` is the normative
-//! byte-level spec of both formats.
+//! the zero-copy, section-mapped `sr-snap v2` ([`v2`]) — answers spatial
+//! queries against it at cell-group granularity ([`query`]) with exactly
+//! the §III-C reconstruction semantics, keeps recently used snapshots warm
+//! in an LRU cache ([`cache`]), and exposes the whole thing over a
+//! dependency-free HTTP/1.1 server ([`http`]). `docs/SNAPSHOT_FORMAT.md`
+//! is the normative byte-level spec of both formats.
+//!
+//! Serving has one representation: a [`QueryEngine`] is a validated v2
+//! buffer, served borrowed. A v1 file or an owned [`Snapshot`] is encoded
+//! to v2 bytes in memory and validated like a file before it serves.
 //!
 //! The invariant tying the layers together: for any cell, the value served
-//! by [`query::QueryEngine`] is bit-identical to the value
+//! by [`QueryEngine`] is bit-identical to the value
 //! [`sr_core::reconstruct_grid`] would materialize for that cell — serving
 //! never re-derives representatives with different arithmetic.
 //!
@@ -64,9 +67,7 @@ pub use http::{
     serve, serve_backend, serve_cached, BackendAnswer, BackendResult, BackendUnavailable,
     EngineBackend, QueryBackend, ServerConfig, ServerHandle,
 };
-pub use query::{
-    NearestGroup, PointAnswer, QueryEngine, Stats, WindowAnswer, WindowGroupPart, WindowScatter,
-};
+pub use query::{NearestGroup, PointAnswer, Stats, WindowAnswer, WindowGroupPart, WindowScatter};
 pub use snapshot::{
     load_snapshot, load_snapshot_with, read_snapshot, save_snapshot, save_snapshot_bytes,
     save_snapshot_with, snapshot_from_bytes, snapshot_to_bytes, write_snapshot, Snapshot,
@@ -76,7 +77,7 @@ pub use sr_obs::Registry;
 pub use v2::{
     engine_from_bytes, load_engine, load_engine_with, migrate_snapshot_bytes, peek_version,
     save_snapshot_v2, save_snapshot_v2_with, section_table, snapshot_to_bytes_v2,
-    snapshot_v2_from_aligned, snapshot_v2_from_bytes, AlignedBytes, SectionInfo, SnapshotV2,
+    snapshot_v2_from_aligned, snapshot_v2_from_bytes, AlignedBytes, QueryEngine, SectionInfo,
 };
 
 /// Errors from the serving layer.

@@ -3,34 +3,22 @@
 //! All values the engine serves are *representative* cell values in the
 //! §III-C sense: `Avg`/`Mode` group values apply to each member cell
 //! directly, `Sum` group values are divided by the group's valid-member
-//! count. The engine precomputes these per-(group, attribute)
-//! representatives once at load, using the same
+//! count. The representatives are precomputed per (group, attribute)
+//! when the snapshot is encoded, using the same
 //! [`sr_core::representative`] function as [`sr_core::reconstruct_grid`],
 //! so a served value is bit-identical to the reconstructed grid's value
 //! for the same cell.
 //!
-//! ## Two representations, one answer
-//!
-//! The engine serves from either of two internal representations:
-//!
-//! - **Owned** ([`QueryEngine::new`]): a decoded [`Snapshot`] plus the
-//!   derived serving data (`Derived`) computed at build time.
-//! - **Borrowed** ([`QueryEngine::from_v2`]): a validated sr-snap v2
-//!   buffer ([`SnapshotV2`]) whose sections — including the precomputed
-//!   representatives, centroids, and rectangle index — are served as
-//!   typed slices straight out of the snapshot bytes, with no decode
-//!   allocation.
-//!
-//! Every query routes through the same accessor layer, and v2
-//! validation proves the stored derived sections bit-equal to what
-//! `Derived` would compute, so the two representations answer every
-//! point/window/knn query bit-identically (`docs/SNAPSHOT_FORMAT.md`).
+//! A [`QueryEngine`] is a validated `sr-snap v2` buffer ([`crate::v2`]);
+//! this module holds the answer types and the point/window/knn/stats
+//! queries, which read typed slices straight out of that buffer. An
+//! engine built from an owned [`crate::Snapshot`] or a v1 file is encoded
+//! to v2 bytes first, so every engine answers through this one code
+//! path (`docs/SNAPSHOT_FORMAT.md`).
 
-use crate::index::{RectIndex, RectIndexView};
-use crate::snapshot::{set_bits, Snapshot};
-use crate::v2::SnapshotV2;
-use sr_core::{representative, GroupId, GroupRect, Partition};
-use sr_grid::{AdjacencyList, AggType, Bounds, CellId};
+use crate::v2::QueryEngine;
+use sr_core::{GroupId, GroupRect};
+use sr_grid::CellId;
 
 /// Answer to a point lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,352 +181,11 @@ pub struct Stats {
     pub cell_reduction: f64,
 }
 
-/// Serving data derived from a snapshot: valid-member counts, dense
-/// per-(group, attribute) representatives, geographic centroids, and the
-/// packed rectangle index.
-///
-/// This is the *single* derivation path: the owned engine computes it at
-/// build time, and the v2 encoder serializes exactly these arrays into
-/// the snapshot's derived sections (which v2 validation then proves
-/// bit-equal on load). One code path → bit-identical serving from both
-/// representations.
-#[derive(Debug, Clone)]
-pub(crate) struct Derived {
-    /// Valid-member count per group (the §III-C divisor for `Sum`).
-    pub(crate) valid_counts: Vec<u32>,
-    /// Dense `t × p` representatives, row-major by group; rows of null
-    /// groups are all-zero bits.
-    pub(crate) reps: Vec<f64>,
-    /// Geographic centroid per group rectangle.
-    pub(crate) centroids: Vec<[f64; 2]>,
-    /// Hilbert-sorted packed rectangle index over the group bounds.
-    pub(crate) index: RectIndex,
-}
-
-impl Derived {
-    /// Computes the serving data for `snapshot`.
-    pub(crate) fn compute(snapshot: &Snapshot) -> Derived {
-        let partition = snapshot.partition();
-        let t = partition.num_groups();
-        let p = snapshot.num_attrs();
-        let mut valid_counts = vec![0u32; t];
-        let cell_to_group = partition.cell_to_group();
-        for cell in set_bits(snapshot.valid_words()) {
-            valid_counts[cell_to_group[cell] as usize] += 1;
-        }
-        let aggs = snapshot.agg_types();
-        let mut reps = vec![0.0f64; t * p];
-        for g in 0..t {
-            if let Some(fv) = snapshot.feature(g as GroupId) {
-                for (k, &v) in fv.iter().enumerate() {
-                    reps[g * p + k] = representative(v, aggs[k], valid_counts[g] as usize);
-                }
-            }
-        }
-        let bounds = snapshot.bounds();
-        let centroids: Vec<[f64; 2]> = partition
-            .rects()
-            .iter()
-            .map(|rect| centroid_of(rect, bounds, snapshot.rows(), snapshot.cols()))
-            .collect();
-        let index =
-            RectIndex::build(partition.rects(), &centroids, snapshot.rows(), snapshot.cols());
-        Derived { valid_counts, reps, centroids, index }
-    }
-}
-
-/// The geographic centroid of a group rectangle — the exact expression
-/// both [`Derived::compute`] and v2 section validation evaluate, so the
-/// stored and recomputed centroids compare bit-for-bit.
-pub(crate) fn centroid_of(rect: &GroupRect, bounds: Bounds, rows: usize, cols: usize) -> [f64; 2] {
-    let lat_step = (bounds.lat_max - bounds.lat_min) / rows as f64;
-    let lon_step = (bounds.lon_max - bounds.lon_min) / cols as f64;
-    [
-        bounds.lat_min + (rect.r0 + rect.r1 + 1) as f64 / 2.0 * lat_step,
-        bounds.lon_min + (rect.c0 + rect.c1 + 1) as f64 / 2.0 * lon_step,
-    ]
-}
-
-/// Owned representation: a decoded snapshot plus its derived serving
-/// data.
-#[derive(Debug, Clone)]
-struct OwnedRepr {
-    snapshot: Snapshot,
-    derived: Derived,
-}
-
-/// The engine's internal representation (see the module docs).
-#[derive(Debug, Clone)]
-enum Repr {
-    Owned(Box<OwnedRepr>),
-    V2(Box<SnapshotV2>),
-}
-
-/// A query engine over one snapshot, with precomputed per-group
-/// representatives and centroids — decoded and owned (v1 path) or
-/// borrowed out of a validated sr-snap v2 buffer (zero-copy path).
-/// Identical answers either way.
-///
-/// ```
-/// use sr_serve::{QueryEngine, Snapshot};
-/// let grid = sr_grid::GridDataset::univariate(
-///     8, 8, (0..64).map(|i| 10.0 + (i % 8) as f64).collect(),
-/// ).unwrap();
-/// let out = sr_core::repartition(&grid, 0.1).unwrap();
-/// let snap = Snapshot::build(&out.repartitioned, &grid, 0.1).unwrap();
-/// let engine = QueryEngine::new(snap);
-/// assert_eq!(engine.stats().cells, 64);
-/// assert_eq!(engine.format_version(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct QueryEngine {
-    repr: Repr,
-}
-
 impl QueryEngine {
-    /// Builds an owned engine, precomputing representatives for every
-    /// group.
-    pub fn new(snapshot: Snapshot) -> Self {
-        let derived = Derived::compute(&snapshot);
-        QueryEngine { repr: Repr::Owned(Box::new(OwnedRepr { snapshot, derived })) }
-    }
-
-    /// Wraps a validated sr-snap v2 buffer as a borrowed engine. No
-    /// allocation, no copies: every query serves typed slices straight
-    /// out of the snapshot bytes.
-    ///
-    /// ```
-    /// use sr_serve::{snapshot_to_bytes_v2, snapshot_v2_from_bytes, QueryEngine, Snapshot};
-    /// let grid = sr_grid::GridDataset::univariate(
-    ///     8, 8, (0..64).map(|i| 10.0 + (i % 8) as f64).collect(),
-    /// ).unwrap();
-    /// let out = sr_core::repartition(&grid, 0.1).unwrap();
-    /// let snap = Snapshot::build(&out.repartitioned, &grid, 0.1).unwrap();
-    /// let bytes = snapshot_to_bytes_v2(&snap);
-    /// let engine = QueryEngine::from_v2(snapshot_v2_from_bytes(&bytes).unwrap());
-    /// assert_eq!(engine.format_version(), 2);
-    /// assert_eq!(engine.stats(), QueryEngine::new(snap).stats());
-    /// ```
-    pub fn from_v2(snapshot: SnapshotV2) -> Self {
-        QueryEngine { repr: Repr::V2(Box::new(snapshot)) }
-    }
-
-    /// The snapshot format version this engine serves from: `1` for the
-    /// owned (decoded) representation, `2` for the borrowed zero-copy
-    /// one.
-    pub fn format_version(&self) -> u16 {
-        match &self.repr {
-            Repr::Owned(_) => 1,
-            Repr::V2(_) => 2,
-        }
-    }
-
-    // -- accessor layer: every query below reads through these ---------
-
-    fn rows(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.rows(),
-            Repr::V2(v) => v.rows(),
-        }
-    }
-
-    fn cols(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.cols(),
-            Repr::V2(v) => v.cols(),
-        }
-    }
-
-    /// Total cells, `rows · cols`.
-    pub fn num_cells(&self) -> usize {
-        self.rows() * self.cols()
-    }
-
-    /// Attributes per cell.
-    pub fn num_attrs(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.num_attrs(),
-            Repr::V2(v) => v.num_attrs(),
-        }
-    }
-
-    /// Total cell-groups.
-    pub fn num_groups(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.partition().num_groups(),
-            Repr::V2(v) => v.num_groups(),
-        }
-    }
-
-    /// The loss budget `θ` the run was given.
-    pub fn theta(&self) -> f64 {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.theta(),
-            Repr::V2(v) => v.theta(),
-        }
-    }
-
-    /// The achieved IFL of the frozen partition.
-    pub fn ifl(&self) -> f64 {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.ifl(),
-            Repr::V2(v) => v.ifl(),
-        }
-    }
-
-    /// The accepted min-adjacent variation.
-    pub fn min_adjacent_variation(&self) -> f64 {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.min_adjacent_variation(),
-            Repr::V2(v) => v.min_adjacent_variation(),
-        }
-    }
-
-    /// Geographic bounds of the grid.
-    pub fn bounds(&self) -> Bounds {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.bounds(),
-            Repr::V2(v) => v.bounds(),
-        }
-    }
-
-    /// Attribute names.
-    pub fn attr_names(&self) -> &[String] {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.attr_names(),
-            Repr::V2(v) => v.attr_names(),
-        }
-    }
-
-    /// Per-attribute aggregation types.
-    pub fn agg_types(&self) -> &[AggType] {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.agg_types(),
-            Repr::V2(v) => v.agg_types(),
-        }
-    }
-
-    /// Per-attribute integer-typed flags.
-    pub fn integer_attrs(&self) -> &[bool] {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.integer_attrs(),
-            Repr::V2(v) => v.integer_attrs(),
-        }
-    }
-
-    /// Whether `cell` is valid (non-null) in the original dataset.
-    pub fn cell_valid(&self, cell: CellId) -> bool {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.cell_valid(cell),
-            Repr::V2(v) => v.cell_valid(cell),
-        }
-    }
-
-    /// The group containing `cell`.
-    pub fn group_of(&self, cell: CellId) -> GroupId {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.partition().group_of(cell),
-            Repr::V2(v) => v.group_of(cell),
-        }
-    }
-
     /// One group's rectangle.
     pub fn group_rect(&self, g: GroupId) -> GroupRect {
         self.rects()[g as usize]
     }
-
-    fn rects(&self) -> &[GroupRect] {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.partition().rects(),
-            Repr::V2(v) => v.rects(),
-        }
-    }
-
-    /// The group's *raw* allocated feature vector (Algorithm 2 output,
-    /// before the §III-C representative transform); `None` for null
-    /// groups.
-    pub fn feature(&self, g: GroupId) -> Option<&[f64]> {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.feature(g),
-            Repr::V2(v) => v.feature(g),
-        }
-    }
-
-    /// The group's representative vector; `None` for null groups.
-    fn rep(&self, g: GroupId) -> Option<&[f64]> {
-        match &self.repr {
-            Repr::Owned(o) => {
-                let p = o.snapshot.num_attrs();
-                o.snapshot
-                    .featured(g)
-                    .then(|| &o.derived.reps[g as usize * p..(g as usize + 1) * p])
-            }
-            Repr::V2(v) => v.rep(g),
-        }
-    }
-
-    fn featured(&self, g: GroupId) -> bool {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.featured(g),
-            Repr::V2(v) => v.featured(g),
-        }
-    }
-
-    fn centroids(&self) -> &[[f64; 2]] {
-        match &self.repr {
-            Repr::Owned(o) => &o.derived.centroids,
-            Repr::V2(v) => v.centroids(),
-        }
-    }
-
-    fn index_view(&self) -> RectIndexView<'_> {
-        match &self.repr {
-            Repr::Owned(o) => o.derived.index.view(),
-            Repr::V2(v) => v.index_view(),
-        }
-    }
-
-    fn valid_counts_sum(&self) -> usize {
-        let counts: &[u32] = match &self.repr {
-            Repr::Owned(o) => &o.derived.valid_counts,
-            Repr::V2(v) => v.valid_counts(),
-        };
-        counts.iter().map(|&c| c as usize).sum()
-    }
-
-    // -- owned materialization -----------------------------------------
-
-    /// Materializes the engine's snapshot as an owned [`Snapshot`] —
-    /// a clone for the owned representation, a decode for the borrowed
-    /// one. This is the bridge for code that genuinely needs owned data
-    /// (shard splitting, engine fusing, v2 → v1 migration); the query
-    /// path never calls it.
-    pub fn to_snapshot(&self) -> Snapshot {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.clone(),
-            Repr::V2(v) => v
-                .to_snapshot()
-                .expect("a validated v2 snapshot always materializes to a valid v1 snapshot"),
-        }
-    }
-
-    /// Clones the frozen partition out of the engine.
-    pub fn clone_partition(&self) -> Partition {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.partition().clone(),
-            Repr::V2(v) => v.clone_partition(),
-        }
-    }
-
-    /// Clones the group adjacency lists out of the engine.
-    pub fn clone_adjacency(&self) -> AdjacencyList {
-        match &self.repr {
-            Repr::Owned(o) => o.snapshot.adjacency().clone(),
-            Repr::V2(v) => v.clone_adjacency(),
-        }
-    }
-
-    // -- queries --------------------------------------------------------
 
     /// Representative values of one cell — exactly what
     /// [`sr_core::reconstruct_grid`] would put there. `None` when the cell
@@ -552,10 +199,7 @@ impl QueryEngine {
 
     /// Valid-member count of one group.
     pub fn valid_count(&self, g: GroupId) -> usize {
-        match &self.repr {
-            Repr::Owned(o) => o.derived.valid_counts[g as usize] as usize,
-            Repr::V2(v) => v.valid_counts()[g as usize] as usize,
-        }
+        self.valid_counts()[g as usize] as usize
     }
 
     /// Point lookup: maps `(lat, lon)` to its cell and serves the cell's
@@ -755,7 +399,7 @@ impl QueryEngine {
             rows: self.rows(),
             cols: self.cols(),
             cells,
-            valid_cells: self.valid_counts_sum(),
+            valid_cells: self.valid_counts().iter().map(|&c| c as usize).sum(),
             groups,
             valid_groups,
             attrs: self.num_attrs(),
@@ -923,8 +567,12 @@ mod tests {
     #[test]
     fn knn_k_larger_than_groups_returns_all() {
         let (engine, _) = engine_and_grid();
-        let nbs = engine.knn(40.5, -73.5, 10_000);
-        assert_eq!(nbs.len(), engine.stats().valid_groups);
+        let all = engine.knn(40.5, -73.5, 10_000);
+        assert_eq!(all.len(), engine.stats().valid_groups);
+        // A `k` far past the group count must not size anything by `k`.
+        for k in [1usize << 40, usize::MAX] {
+            assert_eq!(engine.knn(40.5, -73.5, k), all, "k = {k}");
+        }
     }
 
     #[test]
@@ -941,28 +589,5 @@ mod tests {
         assert!(st.ifl <= st.theta);
         assert!((st.cell_reduction - (1.0 - st.groups as f64 / 120.0)).abs() < 1e-12);
         assert_eq!(grid.num_valid_cells(), st.valid_cells);
-    }
-
-    #[test]
-    fn borrowed_v2_engine_answers_match_owned_everywhere() {
-        let (owned, grid) = engine_and_grid();
-        let bytes = crate::v2::snapshot_to_bytes_v2(&owned.to_snapshot());
-        let v2 = QueryEngine::from_v2(crate::v2::snapshot_v2_from_bytes(&bytes).unwrap());
-        assert_eq!(v2.format_version(), 2);
-        assert_eq!(owned.stats(), v2.stats());
-        for cell in 0..grid.num_cells() as CellId {
-            assert_eq!(owned.cell_values(cell), v2.cell_values(cell), "cell {cell}");
-            let (lat, lon) = grid.cell_centroid(cell);
-            assert_eq!(owned.point(lat, lon), v2.point(lat, lon));
-        }
-        let b = grid.bounds();
-        let a1 = owned.window(b.lat_min, b.lat_max, b.lon_min, b.lon_max);
-        let a2 = v2.window(b.lat_min, b.lat_max, b.lon_min, b.lon_max);
-        assert_eq!(a1, a2);
-        for k in [1usize, 3, 10_000] {
-            let n1 = owned.knn(40.33, -73.21, k);
-            let n2 = v2.knn(40.33, -73.21, k);
-            assert_eq!(n1, n2);
-        }
     }
 }

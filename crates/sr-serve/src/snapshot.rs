@@ -42,6 +42,9 @@ const VERSION: u16 = 1;
 pub(crate) const MAX_CELLS: usize = 1 << 28;
 /// Upper bound on attributes per cell.
 pub(crate) const MAX_ATTRS: usize = 4096;
+/// Upper bound on an attribute name's UTF-8 length: both formats store
+/// it in a `u16` field.
+const MAX_NAME_LEN: usize = u16::MAX as usize;
 
 /// Bit `i` of a packed bitmap (bit `i % 64` of word `i / 64`).
 #[inline]
@@ -116,9 +119,7 @@ impl Snapshot {
                 "repartitioned result does not match the original grid's shape".into(),
             ));
         }
-        if original.num_cells() > MAX_CELLS || original.num_attrs() > MAX_ATTRS {
-            return Err(ServeError::Invalid("grid or schema exceeds format limits".into()));
-        }
+        check_format_limits(original.num_cells(), rep.attr_names())?;
         // Presence is "has a valid member" (Algorithm 2 gives every such
         // group a feature vector); absent rows are forced to +0.0 bits.
         let arena = rep.features();
@@ -205,9 +206,7 @@ impl Snapshot {
         if self.rows == 0 || self.cols == 0 || p == 0 {
             return invalid("empty grid or schema".into());
         }
-        if cells > MAX_CELLS || p > MAX_ATTRS {
-            return invalid("grid or schema exceeds format limits".into());
-        }
+        check_format_limits(cells, &self.attr_names)?;
         if self.agg_types.len() != p || self.integer_attrs.len() != p {
             return invalid("attribute metadata lengths differ".into());
         }
@@ -387,6 +386,22 @@ impl Snapshot {
     pub fn adjacency(&self) -> &AdjacencyList {
         &self.adjacency
     }
+}
+
+/// The limits both binary formats can represent: the cell count, the
+/// attribute count, and each attribute name's length. A snapshot past
+/// them would encode to bytes that no load accepts.
+fn check_format_limits(cells: usize, attr_names: &[String]) -> Result<()> {
+    if cells > MAX_CELLS || attr_names.len() > MAX_ATTRS {
+        return Err(ServeError::Invalid("grid or schema exceeds format limits".into()));
+    }
+    if let Some(name) = attr_names.iter().find(|name| name.len() > MAX_NAME_LEN) {
+        return Err(ServeError::Invalid(format!(
+            "attribute name of {} bytes exceeds the {MAX_NAME_LEN}-byte format limit",
+            name.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Whether `words` holds exactly `n_bits` bits: the right word count and
@@ -1143,6 +1158,55 @@ mod tests {
             "torn read must be rejected: {result:?}"
         );
         assert_eq!(plan.injected_eofs(), 1);
+    }
+
+    /// Both formats store an attribute name's length in a `u16`: the
+    /// longest representable name round-trips and serves, one byte more
+    /// is refused when the snapshot is assembled, before any encoder
+    /// could seal a truncated length.
+    #[test]
+    fn attribute_name_length_is_bounded_by_its_u16_field() {
+        let snapshot_named = |len: usize| {
+            let grid = GridDataset::new(
+                3,
+                3,
+                1,
+                (0..9).map(|i| 1.0 + i as f64).collect(),
+                vec![true; 9],
+                vec!["n".repeat(len)],
+                vec![AggType::Sum],
+                vec![false],
+                Bounds { lat_min: 0.0, lat_max: 1.0, lon_min: 0.0, lon_max: 1.0 },
+            )
+            .unwrap();
+            let out = repartition(&grid, 0.05).unwrap();
+            Snapshot::build(&out.repartitioned, &grid, 0.05)
+        };
+        let longest = snapshot_named(MAX_NAME_LEN).unwrap();
+        assert_eq!(snapshot_from_bytes(&snapshot_to_bytes(&longest)).unwrap(), longest);
+        let v2 = crate::snapshot_to_bytes_v2(&longest);
+        assert_eq!(crate::snapshot_v2_from_bytes(&v2).unwrap().to_snapshot().unwrap(), longest);
+        let engine = crate::QueryEngine::new(longest.clone());
+        assert_eq!(engine.attr_names()[0].len(), MAX_NAME_LEN);
+        assert!(engine.point(0.5, 0.5).unwrap().values.is_some());
+
+        assert!(matches!(snapshot_named(MAX_NAME_LEN + 1), Err(ServeError::Invalid(_))));
+        let s = longest;
+        let too_long = Snapshot::from_parts(
+            s.theta,
+            s.ifl,
+            s.min_adjacent_variation,
+            s.bounds,
+            vec!["n".repeat(MAX_NAME_LEN + 1)],
+            s.agg_types.clone(),
+            s.integer_attrs.clone(),
+            s.valid.clone(),
+            s.partition.clone(),
+            s.presence.clone(),
+            s.features.clone(),
+            s.adjacency.clone(),
+        );
+        assert!(matches!(too_long, Err(ServeError::Invalid(_))));
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! The `sr-snap v2` zero-copy snapshot format.
+//! The `sr-snap v2` zero-copy snapshot format, and the query engine that
+//! serves it.
 //!
 //! v1 (see [`crate::snapshot`]) is a stream format: variable-length
 //! fields packed back to back, decoded into owned vectors. v2 is a
 //! *mapped* format: a fixed 40-byte header, a section table, and
 //! alignment-padded little-endian sections laid out so that a validated
-//! buffer can be **served borrowed** — [`crate::QueryEngine`] casts
-//! section byte ranges to `&[u32]` / `&[f64]` / `&[GroupRect]` /
-//! index-node slices and answers queries with no decode allocation.
-//! Startup cost collapses from a full parse + engine build to one
-//! checksum-and-validate pass over the bytes.
+//! buffer can be **served borrowed** — a [`QueryEngine`] *is* a
+//! validated v2 buffer: its accessors cast section byte ranges to
+//! `&[u32]` / `&[f64]` / `&[GroupRect]` / index-node slices, and the
+//! queries in [`crate::query`] answer from them with no decode
+//! allocation. Startup cost is one checksum-and-validate pass over the
+//! bytes. Every engine serves this one representation: a v1 file and an
+//! owned [`Snapshot`] ([`QueryEngine::new`]) are encoded to v2 bytes in
+//! memory and validated like a file.
 //!
 //! The byte-level layout, CRC coverage, alignment rules, and version
 //! negotiation are specified normatively in `docs/SNAPSHOT_FORMAT.md`.
@@ -25,38 +29,36 @@
 //!   validity bitmap, partition (rectangles + cell→group), raw feature
 //!   table, adjacency (CSR), valid-member counts, dense
 //!   representatives, centroids, and the packed Hilbert rectangle
-//!   index. The last four are *derived* — precomputed by the exact
-//!   code path the owned engine uses ([`crate::query`]'s `Derived`),
-//!   which is what makes borrowed serving bit-identical to owned
-//!   serving.
+//!   index. The last four are *derived*: the encoder computes them
+//!   (`Derived`) with the same [`sr_core::representative`] arithmetic
+//!   as [`sr_core::reconstruct_grid`], so served values are
+//!   bit-identical to the reconstruction.
 //!
 //! Loading checks every checksum and every bound the accessors and
 //! query traversals index by, then serves straight from the buffer; a
 //! validated snapshot cannot read out of bounds or panic, whatever the
 //! bytes said. The deeper bit-level audit of the derived sections
-//! against recomputation — [`SnapshotV2::verify_derived`] — is kept off
+//! against recomputation — [`QueryEngine::verify_derived`] — is kept off
 //! the load path (it costs more than the rest of startup combined) and
 //! run by the property suites and `srtool info`. The only owned data
 //! after validation is the decoded attribute schema (`O(attrs)`).
 
-use crate::index::{self, Node, RectIndexView};
-use crate::query::{centroid_of, Derived, QueryEngine};
+use crate::index::{self, Node, RectIndex, RectIndexView};
 use crate::snapshot::{
-    bit, crc32, read_file_aligned, snapshot_from_bytes, write_bytes_atomic, Snapshot, MAGIC,
-    MAX_ATTRS, MAX_CELLS,
+    bit, crc32, read_file_aligned, set_bits, snapshot_from_bytes, write_bytes_atomic, Snapshot,
+    MAGIC, MAX_ATTRS, MAX_CELLS,
 };
 use crate::{Result, ServeError};
-use sr_core::{representative, GroupRect, Partition};
+use sr_core::{representative, GroupId, GroupRect, Partition};
 use sr_grid::{AdjacencyList, AggType, Bounds, CellId};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-// The borrowed serving path casts little-endian section bytes to typed
-// slices in place; on a big-endian host those casts would misread every
-// multi-byte value. The owned v1 path could still work there, but this
-// reproduction only targets little-endian hosts — fail loudly instead
-// of corrupting silently.
+// The serving path casts little-endian section bytes to typed slices in
+// place; on a big-endian host those casts would misread every
+// multi-byte value. This reproduction only targets little-endian hosts
+// — fail loudly instead of corrupting silently.
 #[cfg(target_endian = "big")]
 compile_error!("sr-snap v2 serves snapshot bytes borrowed and requires a little-endian host");
 
@@ -279,11 +281,69 @@ fn nodes_to_bytes(nodes: &[Node]) -> &[u8] {
     pod_bytes(nodes)
 }
 
+/// The four derived sections of a snapshot: valid-member counts, dense
+/// per-(group, attribute) representatives, geographic centroids, and the
+/// packed rectangle index.
+struct Derived {
+    /// Valid-member count per group (the §III-C divisor for `Sum`).
+    valid_counts: Vec<u32>,
+    /// Dense `t × p` representatives, row-major by group; rows of null
+    /// groups are all-zero bits.
+    reps: Vec<f64>,
+    /// Geographic centroid per group rectangle.
+    centroids: Vec<[f64; 2]>,
+    /// Hilbert-sorted packed rectangle index over the group bounds.
+    index: RectIndex,
+}
+
+impl Derived {
+    /// Computes the derived sections of `snapshot`.
+    fn compute(snapshot: &Snapshot) -> Derived {
+        let partition = snapshot.partition();
+        let t = partition.num_groups();
+        let p = snapshot.num_attrs();
+        let mut valid_counts = vec![0u32; t];
+        let cell_to_group = partition.cell_to_group();
+        for cell in set_bits(snapshot.valid_words()) {
+            valid_counts[cell_to_group[cell] as usize] += 1;
+        }
+        let aggs = snapshot.agg_types();
+        let mut reps = vec![0.0f64; t * p];
+        for g in 0..t {
+            if let Some(fv) = snapshot.feature(g as GroupId) {
+                for (k, &v) in fv.iter().enumerate() {
+                    reps[g * p + k] = representative(v, aggs[k], valid_counts[g] as usize);
+                }
+            }
+        }
+        let bounds = snapshot.bounds();
+        let centroids: Vec<[f64; 2]> = partition
+            .rects()
+            .iter()
+            .map(|rect| centroid_of(rect, bounds, snapshot.rows(), snapshot.cols()))
+            .collect();
+        let index =
+            RectIndex::build(partition.rects(), &centroids, snapshot.rows(), snapshot.cols());
+        Derived { valid_counts, reps, centroids, index }
+    }
+}
+
+/// The geographic centroid of a group rectangle — the exact expression
+/// both [`Derived::compute`] and [`QueryEngine::verify_derived`]
+/// evaluate, so the stored and recomputed centroids compare bit-for-bit.
+fn centroid_of(rect: &GroupRect, bounds: Bounds, rows: usize, cols: usize) -> [f64; 2] {
+    let lat_step = (bounds.lat_max - bounds.lat_min) / rows as f64;
+    let lon_step = (bounds.lon_max - bounds.lon_min) / cols as f64;
+    [
+        bounds.lat_min + (rect.r0 + rect.r1 + 1) as f64 / 2.0 * lat_step,
+        bounds.lon_min + (rect.c0 + rect.c1 + 1) as f64 / 2.0 * lon_step,
+    ]
+}
+
 /// Serializes a snapshot to its `sr-snap v2` byte representation.
 /// Deterministic: equal snapshots produce equal bytes. The derived
-/// sections (counts, representatives, centroids, index) are computed by
-/// the same code path [`QueryEngine::new`] uses, which is what makes
-/// borrowed v2 serving bit-identical to owned serving.
+/// sections (counts, representatives, centroids, index) are computed
+/// here, once per encode, and served straight from the bytes afterwards.
 ///
 /// The writer is single-pass over one exactly-sized buffer: every
 /// section length is computable up front, so the payloads are copied —
@@ -580,7 +640,7 @@ impl Header {
 }
 
 // ---------------------------------------------------------------------------
-// The validated borrowed snapshot
+// The validated buffer: the query engine
 // ---------------------------------------------------------------------------
 
 /// Exact (padding-free) byte ranges of every typed array in the buffer,
@@ -602,31 +662,36 @@ struct Layout {
     idx_nodes: Range<usize>,
 }
 
-/// A fully validated `sr-snap v2` buffer, served borrowed.
+/// A query engine over one snapshot: a fully validated `sr-snap v2`
+/// buffer, served borrowed.
 ///
 /// Construction ([`snapshot_v2_from_bytes`] /
-/// [`snapshot_v2_from_aligned`]) verifies every checksum and every
-/// bound the accessors and query algorithms index by; afterwards each
-/// accessor is a bounds-known slice into the buffer, and
-/// [`SnapshotV2::verify_derived`] is available for the deep bit-level
+/// [`snapshot_v2_from_aligned`], the loaders [`load_engine`] /
+/// [`engine_from_bytes`], or [`QueryEngine::new`] over an owned
+/// snapshot) verifies every checksum and every bound the accessors and
+/// query algorithms index by; afterwards each accessor is a bounds-known
+/// slice into the buffer, the point/window/knn queries
+/// ([`crate::query`]) answer from those slices, and
+/// [`QueryEngine::verify_derived`] is available for the deep bit-level
 /// audit of the derived sections. The buffer is shared behind an
-/// [`std::sync::Arc`], so cloning the snapshot (and building engines
-/// from it) never copies the bytes; the decoded attribute schema is the
-/// only owned data.
+/// [`std::sync::Arc`], so cloning an engine never copies the bytes; the
+/// decoded attribute schema is the only owned data.
 ///
 /// ```
-/// use sr_serve::{snapshot_to_bytes_v2, snapshot_v2_from_bytes, Snapshot};
+/// use sr_serve::{snapshot_to_bytes_v2, snapshot_v2_from_bytes, QueryEngine, Snapshot};
 /// let grid = sr_grid::GridDataset::univariate(
 ///     6, 6, (0..36).map(|i| 5.0 + (i % 6) as f64).collect(),
 /// ).unwrap();
 /// let out = sr_core::repartition(&grid, 0.1).unwrap();
 /// let snap = Snapshot::build(&out.repartitioned, &grid, 0.1).unwrap();
-/// let v2 = snapshot_v2_from_bytes(&snapshot_to_bytes_v2(&snap)).unwrap();
-/// assert_eq!((v2.rows(), v2.cols()), (6, 6));
-/// assert_eq!(v2.to_snapshot().unwrap(), snap);
+/// let engine = snapshot_v2_from_bytes(&snapshot_to_bytes_v2(&snap)).unwrap();
+/// assert_eq!((engine.rows(), engine.cols()), (6, 6));
+/// assert_eq!(engine.stats().cells, 36);
+/// assert_eq!(engine.stats(), QueryEngine::new(snap.clone()).stats());
+/// assert_eq!(engine.to_snapshot().unwrap(), snap);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SnapshotV2 {
+pub struct QueryEngine {
     bytes: Arc<AlignedBytes>,
     rows: usize,
     cols: usize,
@@ -643,12 +708,12 @@ pub struct SnapshotV2 {
 }
 
 /// Validates v2 `bytes` (copying them into an [`AlignedBytes`]) and
-/// returns the borrowed snapshot. See [`snapshot_v2_from_aligned`].
-pub fn snapshot_v2_from_bytes(bytes: &[u8]) -> Result<SnapshotV2> {
+/// returns the engine serving them. See [`snapshot_v2_from_aligned`].
+pub fn snapshot_v2_from_bytes(bytes: &[u8]) -> Result<QueryEngine> {
     snapshot_v2_from_aligned(AlignedBytes::from_slice(bytes))
 }
 
-/// Validates an aligned v2 buffer and returns the borrowed snapshot.
+/// Validates an aligned v2 buffer and returns the engine serving it.
 ///
 /// The pass verifies, in order: header + table + per-section CRC-32s;
 /// section layout (ids, contiguity, alignment, exact file coverage);
@@ -661,13 +726,12 @@ pub fn snapshot_v2_from_bytes(bytes: &[u8]) -> Result<SnapshotV2> {
 ///
 /// Bit-level agreement of the four *derived* sections with
 /// recomputation (counts, representatives, centroids, index packing /
-/// curve order) is guaranteed by the encoder — which runs the exact
-/// code the owned engine runs — and is deliberately **not** recomputed
-/// here: re-deriving on every load would cost more than the rest of
-/// startup combined. [`SnapshotV2::verify_derived`] performs that deep
-/// check on demand; the property suites run it on every generated
-/// file, and `srtool info` runs it on operator request.
-pub fn snapshot_v2_from_aligned(bytes: AlignedBytes) -> Result<SnapshotV2> {
+/// curve order) is guaranteed by the encoder and is deliberately
+/// **not** recomputed here: re-deriving on every load would cost more
+/// than the rest of startup combined. [`QueryEngine::verify_derived`]
+/// performs that deep check on demand; the property suites run it on
+/// every generated file, and `srtool info` runs it on operator request.
+pub fn snapshot_v2_from_aligned(bytes: AlignedBytes) -> Result<QueryEngine> {
     let buf = bytes.as_slice();
     let header = Header::parse(buf)?;
     let (rows, cols) = (header.rows, header.cols);
@@ -986,7 +1050,7 @@ pub fn snapshot_v2_from_aligned(bytes: AlignedBytes) -> Result<SnapshotV2> {
         idx_entries: idx_entries_range,
         idx_nodes: idx_nodes_range,
     };
-    Ok(SnapshotV2 {
+    Ok(QueryEngine {
         bytes: Arc::new(bytes),
         rows,
         cols,
@@ -1003,7 +1067,28 @@ pub fn snapshot_v2_from_aligned(bytes: AlignedBytes) -> Result<SnapshotV2> {
     })
 }
 
-impl SnapshotV2 {
+impl QueryEngine {
+    /// Builds an engine over an owned snapshot: encodes it to `sr-snap
+    /// v2` bytes in memory and validates them exactly as a loaded file
+    /// is validated, so every engine serves the same representation.
+    ///
+    /// ```
+    /// use sr_serve::{QueryEngine, Snapshot};
+    /// let grid = sr_grid::GridDataset::univariate(
+    ///     8, 8, (0..64).map(|i| 10.0 + (i % 8) as f64).collect(),
+    /// ).unwrap();
+    /// let out = sr_core::repartition(&grid, 0.1).unwrap();
+    /// let snap = Snapshot::build(&out.repartitioned, &grid, 0.1).unwrap();
+    /// let engine = QueryEngine::new(snap);
+    /// assert_eq!(engine.stats().cells, 64);
+    /// ```
+    pub fn new(snapshot: Snapshot) -> Self {
+        // `Snapshot::build` and `from_parts` admit only snapshots whose
+        // encoding validates (tiling, schema and format limits included).
+        snapshot_v2_from_aligned(AlignedBytes::from_slice(&snapshot_to_bytes_v2(&snapshot)))
+            .expect("the v2 encoding of a valid snapshot validates")
+    }
+
     fn buf(&self) -> &[u8] {
         self.bytes.as_slice()
     }
@@ -1075,7 +1160,7 @@ impl SnapshotV2 {
     }
 
     /// The group containing `cell`.
-    pub fn group_of(&self, cell: CellId) -> u32 {
+    pub fn group_of(&self, cell: CellId) -> GroupId {
         self.cell_to_group()[cell as usize]
     }
 
@@ -1090,13 +1175,15 @@ impl SnapshotV2 {
     }
 
     /// Whether group `g` carries a feature vector.
-    pub fn featured(&self, g: u32) -> bool {
+    pub fn featured(&self, g: GroupId) -> bool {
         let bits = &self.buf()[self.layout.presence.clone()];
         bits[g as usize / 8] >> (g as usize % 8) & 1 == 1
     }
 
-    /// The group's raw allocated feature vector; `None` for null groups.
-    pub fn feature(&self, g: u32) -> Option<&[f64]> {
+    /// The group's *raw* allocated feature vector (Algorithm 2 output,
+    /// before the §III-C representative transform); `None` for null
+    /// groups.
+    pub fn feature(&self, g: GroupId) -> Option<&[f64]> {
         self.featured(g).then(|| {
             let all: &[f64] = cast_slice(&self.buf()[self.layout.features.clone()]);
             &all[g as usize * self.attrs..(g as usize + 1) * self.attrs]
@@ -1105,7 +1192,7 @@ impl SnapshotV2 {
 
     /// The group's representative vector (§III-C); `None` for null
     /// groups.
-    pub fn rep(&self, g: u32) -> Option<&[f64]> {
+    pub fn rep(&self, g: GroupId) -> Option<&[f64]> {
         self.featured(g).then(|| {
             let all: &[f64] = cast_slice(&self.buf()[self.layout.reps.clone()]);
             &all[g as usize * self.attrs..(g as usize + 1) * self.attrs]
@@ -1123,7 +1210,7 @@ impl SnapshotV2 {
     }
 
     /// Neighbor ids of group `g` (CSR slice).
-    pub fn neighbors(&self, g: u32) -> &[u32] {
+    pub fn neighbors(&self, g: GroupId) -> &[GroupId] {
         let offsets: &[u32] = cast_slice(&self.buf()[self.layout.adj_offsets.clone()]);
         let all: &[u32] = cast_slice(&self.buf()[self.layout.adj_neighbors.clone()]);
         &all[offsets[g as usize] as usize..offsets[g as usize + 1] as usize]
@@ -1142,9 +1229,9 @@ impl SnapshotV2 {
     /// that counts, representatives, centroids, and the packed index
     /// (curve-ordered permutation, level packing, node boxes) equal a
     /// recomputation from the primary sections — i.e. that the encoder
-    /// that produced this file ran the same derivation the owned engine
-    /// runs, which is what makes borrowed serving bit-identical to
-    /// owned serving.
+    /// that produced this file ran this crate's derivation, which is
+    /// what makes served values bit-identical to the §III-C
+    /// reconstruction.
     ///
     /// Construction already guarantees memory safety and
     /// panic-freedom; this check guards against a buggy or foreign
@@ -1200,7 +1287,7 @@ impl SnapshotV2 {
                 }
             }
         }
-        // Centroids: the exact expression the owned engine evaluates.
+        // Centroids: the exact expression the encoder evaluates.
         for (g, rect) in rects.iter().enumerate() {
             let want = centroid_of(rect, self.bounds, self.rows, self.cols);
             if centroids[g][0].to_bits() != want[0].to_bits()
@@ -1258,10 +1345,13 @@ impl SnapshotV2 {
     }
 
     /// Materializes the buffer into an owned [`Snapshot`] — the bridge
-    /// to every v1 consumer (shard splitting, v2 → v1 migration). A
+    /// for code that genuinely needs owned data (shard splitting, engine
+    /// fusing, v2 → v1 migration); the query path never calls it. A
     /// v1 → v2 → v1 round trip is byte-identical. Every table is one copy
     /// of its section; the rows of absent groups are zeroed, whatever the
-    /// file held there.
+    /// file held there. Fails when the buffer breaks a cross-section
+    /// invariant that load validation leaves to
+    /// [`QueryEngine::verify_derived`] (a valid cell in a null group).
     pub fn to_snapshot(&self) -> Result<Snapshot> {
         let presence = self.words(self.layout.presence.start, self.groups).to_vec();
         let mut features: Vec<f64> = cast_slice(&self.buf()[self.layout.features.clone()]).to_vec();
@@ -1308,13 +1398,14 @@ pub fn save_snapshot_v2_with(
 }
 
 /// Loads a snapshot file of **either** format version into a
-/// [`QueryEngine`]: v1 decodes into the owned representation, v2
-/// validates and serves borrowed. This is the loader the serving tier
-/// ([`crate::SnapshotCache`], shard routers, `srtool serve`) uses.
+/// [`QueryEngine`]: a v2 file is validated in place and served borrowed;
+/// a v1 file is decoded and transcoded to v2 ([`QueryEngine::new`]).
+/// This is the loader the serving tier ([`crate::SnapshotCache`], shard
+/// routers, `srtool serve`) uses.
 ///
 /// ```no_run
 /// let engine = sr_serve::load_engine("current.snap").unwrap();
-/// println!("serving format v{}", engine.format_version());
+/// println!("serving {} groups", engine.num_groups());
 /// ```
 pub fn load_engine(path: impl AsRef<Path>) -> Result<QueryEngine> {
     load_engine_with(path, None)
@@ -1327,18 +1418,22 @@ pub fn load_engine_with(
     path: impl AsRef<Path>,
     plan: Option<&sr_fault::FaultPlan>,
 ) -> Result<QueryEngine> {
-    let buf = read_file_aligned(path.as_ref(), plan)?;
-    match peek_version(buf.as_slice()) {
-        Some(FORMAT_V2) => Ok(QueryEngine::from_v2(snapshot_v2_from_aligned(buf)?)),
-        _ => Ok(QueryEngine::new(snapshot_from_bytes(buf.as_slice())?)),
-    }
+    engine_from_aligned(read_file_aligned(path.as_ref(), plan)?)
 }
 
-/// Builds a [`QueryEngine`] from snapshot bytes of either format.
+/// Builds a [`QueryEngine`] from snapshot bytes of either format, like
+/// [`load_engine`].
 pub fn engine_from_bytes(bytes: &[u8]) -> Result<QueryEngine> {
-    match peek_version(bytes) {
-        Some(FORMAT_V2) => Ok(QueryEngine::from_v2(snapshot_v2_from_bytes(bytes)?)),
-        _ => Ok(QueryEngine::new(snapshot_from_bytes(bytes)?)),
+    engine_from_aligned(AlignedBytes::from_slice(bytes))
+}
+
+/// The engine loaders' one version sniff: v2 bytes are validated in
+/// place; anything else is decoded as v1 (which rejects non-snapshots)
+/// and transcoded.
+fn engine_from_aligned(buf: AlignedBytes) -> Result<QueryEngine> {
+    match peek_version(buf.as_slice()) {
+        Some(FORMAT_V2) => snapshot_v2_from_aligned(buf),
+        _ => Ok(QueryEngine::new(snapshot_from_bytes(buf.as_slice())?)),
     }
 }
 
@@ -1488,8 +1583,6 @@ mod tests {
         let v2 = snapshot_to_bytes_v2(&snap);
         let e1 = engine_from_bytes(&v1).unwrap();
         let e2 = engine_from_bytes(&v2).unwrap();
-        assert_eq!(e1.format_version(), 1);
-        assert_eq!(e2.format_version(), 2);
         assert_eq!(e1.stats(), e2.stats());
         let b = e1.bounds();
         assert_eq!(
@@ -1505,8 +1598,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("sr_v2_test_{}.snap", std::process::id()));
         save_snapshot_v2(&snap, &path).unwrap();
         let engine = load_engine(&path).unwrap();
-        assert_eq!(engine.format_version(), 2);
-        assert_eq!(engine.to_snapshot(), snap);
+        assert_eq!(engine.to_snapshot().unwrap(), snap);
         // The format-agnostic owned loader reads it too.
         let owned = crate::snapshot::load_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();

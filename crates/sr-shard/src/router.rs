@@ -18,7 +18,10 @@
 //! **every** shard is loaded the router fuses them back into the
 //! original snapshot (OR the bitmaps, union the features) and serves
 //! through one merged [`QueryEngine`]: bit-identical to the unsharded
-//! engine *by construction*, at unsharded latency. The fused view is
+//! engine *by construction*, at unsharded latency. Building it is an
+//! in-memory v2 encode of the fused snapshot plus the same validation a
+//! loaded file gets ([`QueryEngine::new`]), paid under the route lock.
+//! The fused view is
 //! rebuilt only when a shard's engine changes (reload, rotation) and is
 //! dropped whenever a shard is browned out or the loaded snapshots
 //! disagree on the partition (mid-redeploy) — then requests fall back to
@@ -462,9 +465,10 @@ fn refresh_fused(fast: &mut FastState, scatter_only: bool) {
 /// by owner and copies everything else verbatim, and ownership
 /// partitions both sets exactly — so OR-ing the validity and presence
 /// bitmaps and taking each group's one present feature row reconstructs
-/// the original snapshot field-for-field. `None` when the loaded snapshots disagree on the
-/// partition (mid-redeploy mixed versions): those cannot be fused and
-/// the caller stays on the scatter path.
+/// the original snapshot field-for-field, which [`QueryEngine::new`]
+/// encodes to v2 bytes and validates. `None` when the loaded snapshots
+/// disagree on the partition (mid-redeploy mixed versions): those cannot
+/// be fused and the caller stays on the scatter path.
 fn fuse_engines(engines: &[&Arc<QueryEngine>]) -> Option<Arc<QueryEngine>> {
     if engines.len() == 1 {
         // A single shard owns everything: its snapshot *is* the original.

@@ -357,9 +357,7 @@ fn snapshot_info(path: &str, version: u16, bytes: &[u8]) -> Result<(), String> {
         }
         // The load above already proved checksums + structure; run the
         // deep audit too, so `info` doubles as an integrity tool.
-        spatial_repartition::serve::snapshot_v2_from_bytes(bytes)
-            .and_then(|v2| v2.verify_derived())
-            .map_err(|e| e.to_string())?;
+        engine.verify_derived().map_err(|e| e.to_string())?;
         println!("derived sections: verified bit-identical to recomputation");
     }
     Ok(())

@@ -244,7 +244,11 @@ fn injected_read_latency_slows_loads_but_serves_correctly() {
     let cache = SnapshotCache::with_registry(2, &registry).with_fault_plan(plan.clone());
     let served = cache.get_serve(&path, 0.05).expect("latency never corrupts data");
     assert!(!served.stale);
-    assert_eq!(served.engine.to_snapshot(), snap, "loaded through faults must be lossless");
+    assert_eq!(
+        served.engine.to_snapshot().unwrap(),
+        snap,
+        "loaded through faults must be lossless"
+    );
     assert!(plan.injected_latency() >= 1);
     assert_eq!(registry.counter("fault.injected_latency_total").get(), plan.injected_latency());
     std::fs::remove_file(&path).ok();

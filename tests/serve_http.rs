@@ -139,6 +139,41 @@ fn serve_queries_match_reconstruction_under_concurrency() {
     assert!(TcpStream::connect(addr).is_err(), "listener should be closed");
 }
 
+/// Writes `request` raw and returns whatever the server answered before
+/// closing. A server that stops reading early closes with request bytes
+/// unread, which the client may see as a reset after the response; the
+/// bytes received up to then are the answer.
+fn raw_exchange(addr: SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let _ = stream.write_all(request.as_bytes());
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+#[test]
+fn request_head_over_the_cap_is_refused_with_431() {
+    let grid = Dataset::VehiclesUnivariate.generate(GridSize::Custom(8, 8), 3);
+    let outcome = repartition(&grid, 0.1).unwrap();
+    let snap = Snapshot::build(&outcome.repartitioned, &grid, 0.1).unwrap();
+    let registry = Registry::new();
+    let config = ServerConfig { threads: 2, registry: registry.clone(), ..ServerConfig::default() };
+    let pad = "x".repeat(config.max_request_bytes + 1024);
+    let handle = serve(Arc::new(QueryEngine::new(snap)), "127.0.0.1:0", config).unwrap();
+    let addr = handle.addr();
+
+    // The cap covers the request line itself, not only the headers.
+    let response = raw_exchange(addr, &format!("GET /stats?pad={pad} HTTP/1.1\r\n\r\n"));
+    assert!(response.starts_with("HTTP/1.1 431"), "long request line: {response}");
+    let response = raw_exchange(addr, &format!("GET /stats HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"));
+    assert!(response.starts_with("HTTP/1.1 431"), "long header line: {response}");
+    assert_eq!(registry.counter("serve.errors_total").get(), 2);
+
+    // A head within the cap still answers.
+    let (status, _) = http_get(addr, "/stats");
+    assert_eq!(status, 200);
+}
+
 #[test]
 fn server_survives_empty_connections() {
     let grid = Dataset::VehiclesUnivariate.generate(GridSize::Custom(8, 8), 3);
