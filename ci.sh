@@ -80,6 +80,19 @@ SR_THREADS=1 cargo test -q --offline -p sr-serve --test golden_bytes
 echo "==> golden snapshot bytes (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline -p sr-serve --test golden_bytes
 
+# The kernel-versus-reference suite (crates/sr-core/tests/prop_bit_identity.rs):
+# the Eq. 1 edge scan, Algorithm 1 extraction, Algorithm 2 allocation, the
+# Eq. 3 sum and the full driver reproduce self-contained scalar-accessor
+# reference implementations bit for bit at pools of 1, 2 and 8 threads.
+# Each paper step has one implementation, so this suite pins the kernels
+# the driver runs. Runs inside the workspace passes too; pinned here at
+# both thread counts.
+echo "==> kernel bit identity (SR_THREADS=1)"
+SR_THREADS=1 cargo test -q --offline -p sr-core --test prop_bit_identity
+
+echo "==> kernel bit identity (SR_THREADS=4)"
+SR_THREADS=4 cargo test -q --offline -p sr-core --test prop_bit_identity
+
 # The localized re-partitioning contract (docs/INGESTION.md, "The
 # localized walk"): run_localized over any dirty sequence is bit-identical
 # to the batch driver's hinted walk on the same inputs, at every thread

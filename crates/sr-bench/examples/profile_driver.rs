@@ -2,11 +2,9 @@
 //! where a strided `theta = 0.05` walk spends its time. Companion to the
 //! criterion benches when chasing pipeline regressions.
 
-use sr_core::{
-    extract_with_edges, partition_ifl_groups, EdgeVariations, GroupFeatures, VariationHeap,
-};
+use sr_core::{allocate_features, extract_with_edges, partition_ifl, VariationHeap};
 use sr_datasets::{Dataset, GridSize};
-use sr_grid::{normalize_attributes, IflOptions};
+use sr_grid::{normalize_attributes, EdgeVariations, IflOptions};
 use std::time::Instant;
 
 fn main() {
@@ -36,10 +34,10 @@ fn main() {
         let part = extract_with_edges(&edges, thresholds[idx]);
         te += t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let feats = GroupFeatures::allocate(&grid, &part);
+        let feats = allocate_features(&grid, &part);
         ta += t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let ifl = partition_ifl_groups(&grid, &part, &feats, IflOptions::default());
+        let ifl = partition_ifl(&grid, &part, &feats, IflOptions::default());
         ti += t.elapsed().as_secs_f64();
         n_iter += 1;
         if ifl > 0.05 || idx == thresholds.len() - 1 {

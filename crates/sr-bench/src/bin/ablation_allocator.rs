@@ -11,7 +11,7 @@
 
 use sr_bench::report::Table;
 use sr_bench::ExpConfig;
-use sr_core::{extract_cell_groups, partition_ifl};
+use sr_core::{extract_cell_groups, partition_ifl, GroupFeatures};
 use sr_datasets::{Dataset, GridSize};
 use sr_grid::{local_loss, normalize_attributes, AggType, IflOptions};
 
@@ -38,13 +38,14 @@ fn main() {
             let alg2 = sr_core::allocate_features(&grid, &partition);
             let ifl_alg2 = partition_ifl(&grid, &partition, &alg2, IflOptions::default());
 
-            // Mean-only allocation for Avg attributes.
+            // Mean-only allocation for Avg attributes: one flat row per
+            // group (zeros for null groups), with Algorithm 2's member
+            // counts — the same partition has the same members.
             let mut mode_wins = 0usize;
             let mut avg_groups = 0usize;
-            let mut mean_only = Vec::with_capacity(partition.num_groups());
+            let mut mean_only = Vec::with_capacity(partition.num_groups() * grid.num_attrs());
             for gid in 0..partition.num_groups() as u32 {
                 let mut fv = vec![0.0f64; grid.num_attrs()];
-                let mut any = false;
                 for (k, slot) in fv.iter_mut().enumerate() {
                     let values: Vec<f64> = partition
                         .cells_iter(gid)
@@ -54,7 +55,6 @@ fn main() {
                     if values.is_empty() {
                         continue;
                     }
-                    any = true;
                     *slot = match grid.agg_types()[k] {
                         AggType::Sum => values.iter().sum(),
                         AggType::Mode => values[0],
@@ -64,7 +64,7 @@ fn main() {
                             // Track how often Algorithm 2 disagreed (mode won).
                             if values.len() > 1 {
                                 avg_groups += 1;
-                                if let Some(a2) = &alg2[gid as usize] {
+                                if let Some(a2) = alg2.row(gid as usize) {
                                     if (a2[k] - mean).abs() > 1e-12
                                         && local_loss(&values, a2[k]) < local_loss(&values, mean)
                                     {
@@ -76,8 +76,13 @@ fn main() {
                         }
                     };
                 }
-                mean_only.push(any.then_some(fv));
+                mean_only.extend(fv);
             }
+            let mean_only = GroupFeatures::from_parts(
+                grid.num_attrs(),
+                mean_only,
+                alg2.valid_counts().to_vec(),
+            );
             let ifl_mean = partition_ifl(&grid, &partition, &mean_only, IflOptions::default());
             let win_pct =
                 if avg_groups > 0 { 100.0 * mode_wins as f64 / avg_groups as f64 } else { 0.0 };

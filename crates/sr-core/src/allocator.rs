@@ -9,7 +9,7 @@
 //!   integer-typed attributes have the mean rounded to the nearest integer
 //!   first (Example 4: mean 23.67 → 24, mode 23, equal losses → pick 24).
 //!
-//! Groups of null cells receive a null (`None`) feature vector.
+//! Groups of null cells receive a null row (valid-member count 0).
 
 use crate::partition::Partition;
 use sr_grid::{local_loss, GridDataset};
@@ -53,11 +53,11 @@ fn count_valid_range(words: &[u64], start: usize, len: usize) -> usize {
 
 /// Flat arena of allocated group features: one `p`-wide row of values per
 /// group plus the group's valid-member count, with no per-group heap
-/// allocation. The driver assembles its winner in this form and hands it
-/// on as is: [`crate::Repartitioned::features`] returns it, and the
-/// serving layer copies its table into snapshots. The boxed
-/// [`Vec<Option<Vec<f64>>>`] form ([`GroupFeatures::into_options`]) is
-/// built only on demand, for the public helpers that return it.
+/// allocation. This is the one form group features take: Algorithm 2
+/// ([`allocate_features`]) returns it, Eq. 3 ([`crate::partition_ifl`])
+/// and reconstruction read it, [`crate::Repartitioned::features`] holds
+/// the driver's winner in it, and the serving layer copies its table into
+/// snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFeatures {
     p: usize,
@@ -72,62 +72,27 @@ pub struct GroupFeatures {
 }
 
 impl GroupFeatures {
-    /// Runs Algorithm 2 for every group on [`sr_par::Pool::global`].
-    pub fn allocate(original: &GridDataset, partition: &Partition) -> Self {
-        Self::allocate_with(original, partition, sr_par::Pool::global())
-    }
-
-    /// [`GroupFeatures::allocate`] on an explicit pool. Groups are
-    /// independent and emitted in group-id order, so the result is
-    /// bit-identical at any thread count.
-    pub fn allocate_with(
-        original: &GridDataset,
-        partition: &Partition,
-        pool: &sr_par::Pool,
-    ) -> Self {
-        let p = original.num_attrs();
-        let n_groups = partition.num_groups();
-        let mut out = GroupFeatures {
-            p,
-            values: Vec::with_capacity(n_groups * p),
-            valid_counts: Vec::with_capacity(n_groups),
-        };
-        // Serial pools fill the arena directly — the chunked path below
-        // pays for its parallelism with a concatenation copy.
-        if pool.threads() <= 1 {
-            let mut scratch = Scratch::new(p);
-            for gid in 0..n_groups {
-                let count = allocate_group_into(
-                    original,
-                    partition,
-                    gid as u32,
-                    &mut scratch,
-                    &mut out.values,
-                );
-                out.valid_counts.push(count as u32);
-            }
-            return out;
-        }
-        let chunks = pool.par_map_chunks(n_groups, sr_par::fixed_grain(n_groups, 64), |range| {
-            let mut scratch = Scratch::new(p);
-            let mut values = Vec::with_capacity(range.len() * p);
-            let mut counts = Vec::with_capacity(range.len());
-            for gid in range {
-                counts.push(allocate_group_into(
-                    original,
-                    partition,
-                    gid as u32,
-                    &mut scratch,
-                    &mut values,
-                ) as u32);
-            }
-            (values, counts)
-        });
-        for (v, c) in chunks {
-            out.values.extend(v);
-            out.valid_counts.extend(c);
-        }
-        out
+    /// Assembles an arena from already-aggregated parts: `values` holds
+    /// one `p`-wide row per group and `valid_counts` each group's
+    /// valid-member count (0 for a null group). The threshold walk
+    /// materializes its winner this way from cached per-rectangle rows,
+    /// which the same allocation kernel produced, so the arena is
+    /// bit-identical to a fresh [`allocate_features`]. Eq. 3 un-sums
+    /// `Sum` attributes by these counts, so callers building their own
+    /// table must pass the true member counts.
+    ///
+    /// # Panics
+    ///
+    /// When `values.len() != valid_counts.len() * p`.
+    pub fn from_parts(p: usize, values: Vec<f64>, valid_counts: Vec<u32>) -> Self {
+        assert_eq!(
+            values.len(),
+            valid_counts.len() * p,
+            "GroupFeatures::from_parts: {} values for {} groups of {p} attributes",
+            values.len(),
+            valid_counts.len()
+        );
+        GroupFeatures { p, values, valid_counts }
     }
 
     /// Number of groups.
@@ -165,34 +130,12 @@ impl GroupFeatures {
     pub fn valid_counts(&self) -> &[u32] {
         &self.valid_counts
     }
-
-    /// Assembles an arena from already-aggregated parts — the localized
-    /// driver materializes its winner from cached per-rect rows, which were
-    /// produced by the same [`allocate_rect_into`] the public kernels use, so
-    /// the assembled arena is bit-identical to a fresh allocation.
-    pub(crate) fn from_raw(p: usize, values: Vec<f64>, valid_counts: Vec<u32>) -> Self {
-        debug_assert_eq!(values.len(), valid_counts.len() * p);
-        GroupFeatures { p, values, valid_counts }
-    }
-
-    /// Materializes the boxed per-group representation: one allocation
-    /// per non-null group. Only the public helpers that return this form
-    /// ([`allocate_features`], the §VI streaming state) build it.
-    pub fn into_options(self) -> Vec<Option<Vec<f64>>> {
-        let p = self.p;
-        self.valid_counts
-            .iter()
-            .enumerate()
-            .map(|(g, &count)| (count > 0).then(|| self.values[g * p..(g + 1) * p].to_vec()))
-            .collect()
-    }
 }
 
-/// Representative feature vectors of all groups in `partition`, indexed by
-/// group id; `None` marks a null group. Runs on [`sr_par::Pool::global`];
-/// output is bit-identical at any thread count (groups are independent and
-/// emitted in group-id order).
-pub fn allocate_features(original: &GridDataset, partition: &Partition) -> Vec<Option<Vec<f64>>> {
+/// Runs Algorithm 2 for every group of `partition`, on
+/// [`sr_par::Pool::global`]. Output is bit-identical at any thread count
+/// (groups are independent and emitted in group-id order).
+pub fn allocate_features(original: &GridDataset, partition: &Partition) -> GroupFeatures {
     allocate_features_with(original, partition, sr_par::Pool::global())
 }
 
@@ -201,29 +144,44 @@ pub fn allocate_features_with(
     original: &GridDataset,
     partition: &Partition,
     pool: &sr_par::Pool,
-) -> Vec<Option<Vec<f64>>> {
-    GroupFeatures::allocate_with(original, partition, pool).into_options()
+) -> GroupFeatures {
+    let p = original.num_attrs();
+    let n_groups = partition.num_groups();
+    let mut values = Vec::with_capacity(n_groups * p);
+    let mut counts = Vec::with_capacity(n_groups);
+    // Serial pools fill the arena directly — the chunked path below pays
+    // for its parallelism with a concatenation copy.
+    if pool.threads() <= 1 {
+        let mut scratch = Scratch::new(p);
+        for &rect in partition.rects() {
+            counts.push(allocate_rect_into(original, rect, &mut scratch, &mut values) as u32);
+        }
+        return GroupFeatures { p, values, valid_counts: counts };
+    }
+    let chunks = pool.par_map_chunks(n_groups, sr_par::fixed_grain(n_groups, 64), |range| {
+        let mut scratch = Scratch::new(p);
+        let mut values = Vec::with_capacity(range.len() * p);
+        let mut counts = Vec::with_capacity(range.len());
+        for &rect in &partition.rects()[range] {
+            counts.push(allocate_rect_into(original, rect, &mut scratch, &mut values) as u32);
+        }
+        (values, counts)
+    });
+    for (v, c) in chunks {
+        values.extend(v);
+        counts.extend(c);
+    }
+    GroupFeatures { p, values, valid_counts: counts }
 }
 
 /// Algorithm 2 for one group: gather the group's valid cells plane-wise
 /// (each attribute column is a run of contiguous row-segment copies from
 /// the SoA planes), aggregate each column, and append the `p` allocated
 /// values to `out` (zeroes for a null group). Returns the group's
-/// valid-member count.
-fn allocate_group_into(
-    original: &GridDataset,
-    partition: &Partition,
-    gid: u32,
-    scratch: &mut Scratch,
-    out: &mut Vec<f64>,
-) -> usize {
-    allocate_rect_into(original, partition.rect(gid), scratch, out)
-}
-
-/// [`allocate_group_into`] on a bare rectangle. A group's allocation reads
-/// nothing but its rectangle and the grid, so this is the whole algorithm;
-/// the localized driver calls it directly for cache-miss groups, which
-/// makes cached rows bit-interchangeable with batch-computed ones.
+/// valid-member count. A group's allocation reads nothing but its
+/// rectangle and the grid; the threshold walk calls this for every group
+/// it builds, which makes cached rows bit-interchangeable with
+/// [`allocate_features`]' output.
 pub(crate) fn allocate_rect_into(
     original: &GridDataset,
     rect: crate::partition::GroupRect,
@@ -535,7 +493,7 @@ mod tests {
         let p = extract_cell_groups(&norm, 1.0);
         assert_eq!(p.num_groups(), 1);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[7.0][..]));
+        assert_eq!(feats.row(0), Some(&[7.0][..]));
     }
 
     #[test]
@@ -546,8 +504,9 @@ mod tests {
         let norm = normalize_attributes(&g);
         let p = extract_cell_groups(&norm, 1.0);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats.len(), 1);
-        assert!(feats[0].is_none());
+        assert_eq!(feats.num_groups(), 1);
+        assert!(feats.row(0).is_none());
+        assert_eq!(feats.valid_count(0), 0);
     }
 
     #[test]
@@ -572,7 +531,7 @@ mod tests {
             vec![0, 0],
         );
         let feats = allocate_features(&g, &p);
-        let fv = feats[0].as_ref().unwrap();
+        let fv = feats.row(0).unwrap();
         assert_eq!(fv[0], 6.0); // sum of counts
         assert_eq!(fv[1], 15.0); // mean of prices (mode loss is worse)
     }
@@ -582,7 +541,22 @@ mod tests {
         let g = GridDataset::univariate(1, 2, vec![42.0, 7.0]).unwrap();
         let p = Partition::identity(1, 2);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[42.0][..]));
-        assert_eq!(feats[1].as_deref(), Some(&[7.0][..]));
+        assert_eq!(feats.row(0), Some(&[42.0][..]));
+        assert_eq!(feats.row(1), Some(&[7.0][..]));
+    }
+
+    #[test]
+    fn from_parts_keeps_rows_and_counts() {
+        let f = GroupFeatures::from_parts(2, vec![1.0, 2.0, 0.0, 0.0], vec![3, 0]);
+        assert_eq!(f.row(0), Some(&[1.0, 2.0][..]));
+        assert!(f.row(1).is_none());
+        assert_eq!(f.valid_count(0), 3);
+        assert_eq!(f.num_valid_groups(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "from_parts")]
+    fn from_parts_rejects_mismatched_lengths() {
+        let _ = GroupFeatures::from_parts(2, vec![1.0, 2.0, 3.0], vec![1, 1]);
     }
 }

@@ -12,163 +12,19 @@
 //!
 //! Null cells only ever group with adjacent null cells; a valid cell with no
 //! compatible neighbor forms a singleton group.
+//!
+//! The edge variations come from sr-grid's [`EdgeVariations`] scan. The
+//! row cursor (`scan_row`) and the anchored-rectangle probe are the ones
+//! the threshold walk runs, so [`extract_with_edges`] and the driver emit
+//! the same rectangles in the same order.
 
-use crate::partition::{GroupId, GroupRect, Partition};
-use sr_grid::GridDataset;
+use crate::partition::{GroupRect, Partition};
+use sr_grid::{EdgeVariations, GridDataset};
 
 /// Slack added to the variation comparison so a threshold that was itself
 /// produced from these variations (heap pops) re-accepts the generating pair
 /// despite floating-point noise.
 pub(crate) const VARIATION_SLACK: f64 = 1e-12;
-
-/// Sentinel group id marking a not-yet-assigned cell during extraction.
-/// Group counts are bounded by the cell count, which is far below `u32::MAX`.
-const UNASSIGNED: GroupId = GroupId::MAX;
-
-/// Pre-computed per-edge variations of a grid, reusable across extraction
-/// passes at different thresholds.
-///
-/// The driver evaluates Algorithm 1 at dozens of thresholds on the *same*
-/// normalized grid; the adjacent-pair variations never change between those
-/// passes, so computing them once and reducing each pass to a threshold
-/// comparison removes the dominant per-iteration cost.
-///
-/// Encoding: `h[r·cols + c]` is the variation between `(r,c)` and
-/// `(r,c+1)`; `v[r·cols + c]` between `(r,c)` and `(r+1,c)`. Null–null
-/// edges store `-∞` (always compatible — null cells merge only with null
-/// cells, §III-A2), valid–null edges and out-of-grid edges store `+∞`
-/// (never compatible), so compatibility at threshold `θ` is exactly
-/// `edge ≤ θ + slack`.
-#[derive(Debug, Clone)]
-pub struct EdgeVariations {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) h: Vec<f64>,
-    pub(crate) v: Vec<f64>,
-}
-
-impl EdgeVariations {
-    /// Computes the edge variations of `grid` on [`sr_par::Pool::global`].
-    pub fn build(grid: &GridDataset) -> Self {
-        Self::build_with(grid, sr_par::Pool::global())
-    }
-
-    /// [`EdgeVariations::build`] on an explicit pool. Row bands are
-    /// computed independently, so the result is identical at any thread
-    /// count.
-    ///
-    /// The raw difference sums are accumulated attribute-plane by
-    /// attribute-plane with flat loops over row slices (each edge's sum
-    /// receives its terms in ascending-`k` order — the same floating-point
-    /// order as a per-edge feature-vector walk), then a finalize pass
-    /// divides by `p` and patches validity: null–null edges become `-∞`,
-    /// mixed and out-of-grid edges `+∞`.
-    pub fn build_with(grid: &GridDataset, pool: &sr_par::Pool) -> Self {
-        let rows = grid.rows();
-        let cols = grid.cols();
-        let aggs = grid.agg_types();
-        let pf = grid.num_attrs() as f64;
-        let valid = grid.valid_mask();
-        let fill_band = |band: std::ops::Range<usize>, h: &mut [f64], v: &mut [f64]| {
-            let b0 = band.start;
-            for r in band {
-                let br = r - b0;
-                let base = r * cols;
-                let has_below = r + 1 < rows;
-                let hrow = &mut h[br * cols..(br + 1) * cols];
-                let vrow = &mut v[br * cols..(br + 1) * cols];
-                hrow[..cols - 1].fill(0.0);
-                if has_below {
-                    vrow.fill(0.0);
-                }
-                for (k, agg) in aggs.iter().enumerate() {
-                    let plane = grid.attr_plane(k);
-                    let row = &plane[base..base + cols];
-                    match agg {
-                        sr_grid::AggType::Mode => {
-                            for c in 0..cols - 1 {
-                                hrow[c] += if row[c] == row[c + 1] { 0.0 } else { 1.0 };
-                            }
-                            if has_below {
-                                let below = &plane[base + cols..base + 2 * cols];
-                                for c in 0..cols {
-                                    vrow[c] += if row[c] == below[c] { 0.0 } else { 1.0 };
-                                }
-                            }
-                        }
-                        _ => {
-                            for c in 0..cols - 1 {
-                                hrow[c] += (row[c] - row[c + 1]).abs();
-                            }
-                            if has_below {
-                                let below = &plane[base + cols..base + 2 * cols];
-                                for c in 0..cols {
-                                    vrow[c] += (row[c] - below[c]).abs();
-                                }
-                            }
-                        }
-                    }
-                }
-                for c in 0..cols - 1 {
-                    let (a, b) = (valid[base + c], valid[base + c + 1]);
-                    hrow[c] = if a && b {
-                        hrow[c] / pf
-                    } else if !a && !b {
-                        f64::NEG_INFINITY
-                    } else {
-                        f64::INFINITY
-                    };
-                }
-                hrow[cols - 1] = f64::INFINITY;
-                if has_below {
-                    for c in 0..cols {
-                        let (a, b) = (valid[base + c], valid[base + cols + c]);
-                        vrow[c] = if a && b {
-                            vrow[c] / pf
-                        } else if !a && !b {
-                            f64::NEG_INFINITY
-                        } else {
-                            f64::INFINITY
-                        };
-                    }
-                } else {
-                    vrow.fill(f64::INFINITY);
-                }
-            }
-        };
-        // Serial pools fill the full arrays in place; the banded path pays
-        // for its parallelism with a concatenation copy.
-        if pool.threads() <= 1 {
-            let mut h = vec![0.0; rows * cols];
-            let mut v = vec![0.0; rows * cols];
-            fill_band(0..rows, &mut h, &mut v);
-            return EdgeVariations { rows, cols, h, v };
-        }
-        let bands = pool.par_map_chunks(rows, sr_par::fixed_grain(rows, 64), |band| {
-            let mut h = vec![0.0; band.len() * cols];
-            let mut v = vec![0.0; band.len() * cols];
-            fill_band(band, &mut h, &mut v);
-            (h, v)
-        });
-        let mut h = Vec::with_capacity(rows * cols);
-        let mut v = Vec::with_capacity(rows * cols);
-        for (bh, bv) in bands {
-            h.extend(bh);
-            v.extend(bv);
-        }
-        EdgeVariations { rows, cols, h, v }
-    }
-
-    /// Grid height this was built from.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Grid width this was built from.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
 
 /// Runs Algorithm 1: extracts all cell-groups of `normalized` under the
 /// given `min_adjacent_variation` and returns the resulting [`Partition`]
@@ -196,67 +52,16 @@ pub fn extract_cell_groups_with(
 /// itself is inherently sequential (each group consumes cells the next
 /// anchor decision depends on) and cheap next to the variation math.
 ///
-/// The `cIndex` buffer, initialized to an unassigned sentinel,
-/// doubles as the scan's visited map, so a pass needs no side storage.
-pub fn extract_with_edges(
-    edge_variations: &EdgeVariations,
-    min_adjacent_variation: f64,
-) -> Partition {
-    let rows = edge_variations.rows;
-    let cols = edge_variations.cols;
+/// The scan is the threshold walk's row cursor run over every row, with
+/// a per-column spill profile standing in for a visited map.
+pub fn extract_with_edges(edges: &EdgeVariations, min_adjacent_variation: f64) -> Partition {
     let accept = min_adjacent_variation + VARIATION_SLACK;
-
+    let mut bot = vec![0u32; edges.cols()];
     let mut groups = Vec::new();
-    let mut cell_to_group = vec![UNASSIGNED; rows * cols];
-
-    for r in 0..rows {
-        let rowbase = r * cols;
-        let mut c = 0usize;
-        while c < cols {
-            if cell_to_group[rowbase + c] != UNASSIGNED {
-                c += 1;
-                continue;
-            }
-            let (height, width) = best_anchored_rect(edge_variations, &cell_to_group, accept, r, c);
-            let gid = groups.len() as GroupId;
-            let rect = GroupRect {
-                r0: r as u32,
-                r1: (r + height - 1) as u32,
-                c0: c as u32,
-                c1: (c + width - 1) as u32,
-            };
-            for rr in r..r + height {
-                cell_to_group[rr * cols + c..rr * cols + c + width].fill(gid);
-            }
-            groups.push(rect);
-            // The cells just filled in the anchor row are this group's; the
-            // scan can resume directly past them.
-            c += width;
-        }
+    for r in 0..edges.rows() {
+        scan_row(edges, accept, r, &mut bot, |rect, _| groups.push(rect));
     }
-
-    Partition::new(rows, cols, groups, cell_to_group)
-}
-
-/// Finds the maximum-area rectangle anchored at `(r, c)` (its top-left
-/// corner) whose internal adjacent pairs are all compatible and whose cells
-/// are all unvisited. Returns `(height, width)`, both ≥ 1.
-///
-/// This subsumes the paper's separate `hCount` / `vCount` / `rCount`
-/// comparison: height 1 yields the maximal horizontal run, width 1 survives
-/// exactly as long as the maximal vertical run, and the scan maximizes the
-/// area over every anchored height.
-fn best_anchored_rect(
-    edges: &EdgeVariations,
-    assigned: &[GroupId],
-    accept: f64,
-    r: usize,
-    c: usize,
-) -> (usize, usize) {
-    let cols = edges.cols;
-    let probe =
-        probe_anchored_rect(edges, accept, r, c, |rr, cc| assigned[rr * cols + cc] != UNASSIGNED);
-    (probe.height, probe.width)
+    Partition::from_rects(edges.rows(), edges.cols(), groups)
 }
 
 /// Result of one anchored-rectangle probe, including the extent of the
@@ -266,33 +71,75 @@ fn best_anchored_rect(
 /// its dirty-region checks on exactly this box.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RectProbe {
-    pub(crate) height: usize,
-    pub(crate) width: usize,
     /// Last row index the exploration visited (≥ the rect's bottom row).
     pub(crate) reach: usize,
     /// Width of the maximal anchor-row run (≥ the rect's width).
     pub(crate) run_width: usize,
 }
 
-/// The anchored-rectangle scan over an abstract assignment predicate
-/// (`is_assigned(row, col)`), shared verbatim — same comparisons,
-/// same order — by the batch extractor (predicate over `cell_to_group`)
-/// and the localized replay (predicate over a per-column spill profile).
-/// Monomorphized per predicate, so the batch path's codegen is unchanged.
-pub(crate) fn probe_anchored_rect(
+/// Scans row `r`: skips cells an earlier rectangle spilled into, probes
+/// the maximum-area rectangle at each remaining anchor, hands it to `emit`
+/// with its probe footprint, and jumps past its width.
+///
+/// `bot` is the per-column spill profile of the tiling so far: `bot[c]` is
+/// one past the deepest row covered by any emitted rectangle touching
+/// column `c`. For the scan row `r`, cell `(rr, c)` with `rr ≥ r` is
+/// assigned iff `rr < bot[c]` — every rectangle still covering rows `≥ r`
+/// was anchored at a row `≤ r`, so its column coverage at rows `≥ r` is
+/// contiguous from `r` down to its bottom row. The scan advances `bot`
+/// over every rectangle it emits.
+pub(crate) fn scan_row(
+    edges: &EdgeVariations,
+    accept: f64,
+    r: usize,
+    bot: &mut [u32],
+    mut emit: impl FnMut(GroupRect, RectProbe),
+) {
+    let mut c = 0usize;
+    while c < edges.cols() {
+        if bot[c] as usize > r {
+            c += 1;
+            continue;
+        }
+        let (h, w, probe) = probe_anchored_rect(edges, accept, r, c, bot);
+        emit(
+            GroupRect {
+                r0: r as u32,
+                r1: (r + h - 1) as u32,
+                c0: c as u32,
+                c1: (c + w - 1) as u32,
+            },
+            probe,
+        );
+        bot[c..c + w].fill((r + h) as u32);
+        c += w;
+    }
+}
+
+/// Finds the maximum-area rectangle anchored at `(r, c)` (its top-left
+/// corner) whose internal adjacent pairs are all compatible and whose cells
+/// are all unassigned under the spill profile `bot` (see [`scan_row`]).
+/// Returns `(height, width)`, both ≥ 1, and the probe footprint.
+///
+/// This subsumes the paper's separate `hCount` / `vCount` / `rCount`
+/// comparison: height 1 yields the maximal horizontal run, width 1 survives
+/// exactly as long as the maximal vertical run, and the scan maximizes the
+/// area over every anchored height.
+fn probe_anchored_rect(
     edges: &EdgeVariations,
     accept: f64,
     r: usize,
     c: usize,
-    is_assigned: impl Fn(usize, usize) -> bool,
-) -> RectProbe {
-    let rows = edges.rows;
-    let cols = edges.cols;
-    let (eh, ev) = (&edges.h[..], &edges.v[..]);
+    bot: &[u32],
+) -> (usize, usize, RectProbe) {
+    let rows = edges.rows();
+    let cols = edges.cols();
+    let (eh, ev) = (edges.h(), edges.v());
+    let assigned = |rr: usize, cc: usize| rr < bot[cc] as usize;
 
     // Maximal horizontal run in the anchor row.
     let mut width = 1usize;
-    while c + width < cols && !is_assigned(r, c + width) && eh[r * cols + c + width - 1] <= accept {
+    while c + width < cols && !assigned(r, c + width) && eh[r * cols + c + width - 1] <= accept {
         width += 1;
     }
 
@@ -311,7 +158,7 @@ pub(crate) fn probe_anchored_rect(
         let mut w2 = 0usize;
         while w2 < w {
             let cc = rr * cols + c + w2;
-            if is_assigned(rr, c + w2) || ev[cc - cols] > accept {
+            if assigned(rr, c + w2) || ev[cc - cols] > accept {
                 break;
             }
             if w2 > 0 && eh[cc - 1] > accept {
@@ -331,7 +178,7 @@ pub(crate) fn probe_anchored_rect(
         }
     }
 
-    RectProbe { height: best.0, width: best.1, reach, run_width: width }
+    (best.0, best.1, RectProbe { reach, run_width: width })
 }
 
 #[cfg(test)]

@@ -15,8 +15,14 @@
 //! sign-flip bijection into `u64` (the `total_cmp` order), which is
 //! substantially faster than a comparison sort with an f64 comparator and
 //! identical on the finite, non-negative variation keys.
+//!
+//! The keys come from sr-grid's [`EdgeVariations`] scan, the one Eq. 1
+//! implementation the threshold walk also reads: its finite edges are
+//! exactly the valid–valid adjacent pairs. The driver's `ScanCache`
+//! collects the same finite edges (`finite_edges`) and dedups them with
+//! the same loop (`push_distinct`) as [`VariationHeap::into_sorted_distinct`].
 
-use sr_grid::{adjacent_variation_values_with, GridDataset};
+use sr_grid::{EdgeVariations, GridDataset};
 
 /// Min-heap (API-wise) over adjacent-pair variations; physically a lazily
 /// sorted vector with a consume cursor.
@@ -49,6 +55,25 @@ pub(crate) fn sort_key(v: f64) -> u64 {
     }
 }
 
+/// The finite edges of `edges` — one per valid–valid adjacent pair, the
+/// heap's key multiset — in array order (right edges, then down edges).
+pub(crate) fn finite_edges(edges: &EdgeVariations) -> Vec<f64> {
+    edges.h().iter().chain(edges.v()).copied().filter(|v| v.is_finite()).collect()
+}
+
+/// The dedup chain of the threshold list: appends to `out` each value of
+/// the ascending `sorted` that lies more than `eps` above the last value
+/// kept, starting from `last` (`-∞` keeps the first value).
+pub(crate) fn push_distinct(sorted: &[f64], mut last: f64, eps: f64, out: &mut Vec<f64>) {
+    for &v in sorted {
+        if (v - last).abs() <= eps {
+            continue;
+        }
+        last = v;
+        out.push(v);
+    }
+}
+
 /// Inverse of [`sort_key`].
 #[inline]
 fn key_value(k: u64) -> f64 {
@@ -57,7 +82,8 @@ fn key_value(k: u64) -> f64 {
 }
 
 impl VariationHeap {
-    /// Builds the heap from a grid. Callers following the paper's pipeline
+    /// Builds the heap from a grid: the finite edges of
+    /// [`EdgeVariations::build`]. Callers following the paper's pipeline
     /// pass the *normalized* grid (see [`sr_grid::normalize_attributes`]).
     /// The variation scan runs on [`sr_par::Pool::global`].
     pub fn from_grid(normalized: &GridDataset) -> Self {
@@ -66,14 +92,7 @@ impl VariationHeap {
 
     /// [`VariationHeap::from_grid`] on an explicit pool.
     pub fn from_grid_with(normalized: &GridDataset, pool: &sr_par::Pool) -> Self {
-        let values = adjacent_variation_values_with(normalized, pool);
-        VariationHeap {
-            values,
-            cursor: 0,
-            sorted: false,
-            dedup_eps: DEFAULT_DEDUP_EPS,
-            last_popped: None,
-        }
+        Self::from_values(finite_edges(&EdgeVariations::build_with(normalized, pool)))
     }
 
     /// Builds a heap directly from raw variation values (tests, ablations).
@@ -139,26 +158,18 @@ impl VariationHeap {
     /// Drains the heap into an ascending, deduplicated vector of thresholds —
     /// the list strided walks and binary-search backoff index into. The
     /// driver's `ScanCache` regenerates the same list with the same dedup
-    /// chain from its maintained multiset.
+    /// loop from its maintained multiset.
     ///
     /// The dedup semantics match [`pop_next_distinct`] (each kept value is
-    /// at least `dedup_eps` above the previous one, starting from the last
+    /// more than `dedup_eps` above the previous one, starting from the last
     /// value already popped, if any).
     ///
     /// [`pop_next_distinct`]: VariationHeap::pop_next_distinct
     pub fn into_sorted_distinct(mut self) -> Vec<f64> {
         self.ensure_sorted();
         let mut out = Vec::with_capacity(self.len());
-        let mut last = self.last_popped;
-        for &v in &self.values[self.cursor..] {
-            match last {
-                Some(prev) if (v - prev).abs() <= self.dedup_eps => continue,
-                _ => {
-                    last = Some(v);
-                    out.push(v);
-                }
-            }
-        }
+        let last = self.last_popped.unwrap_or(f64::NEG_INFINITY);
+        push_distinct(&self.values[self.cursor..], last, self.dedup_eps, &mut out);
         out
     }
 }

@@ -8,9 +8,9 @@
 //! too much information even at factor 2 (IFL > 0.4 on all datasets), which
 //! motivates the similarity-driven main framework.
 
-use crate::allocator::allocate_features;
+use crate::allocator::{allocate_features, GroupFeatures};
 use crate::ifl::partition_ifl;
-use crate::partition::{GroupId, GroupRect, Partition};
+use crate::partition::{GroupRect, Partition};
 use crate::{CoreError, Result};
 use sr_grid::{GridDataset, IflOptions};
 
@@ -32,28 +32,21 @@ pub fn block_partition(
     let block_rows = rows.div_ceil(row_factor);
     let block_cols = cols.div_ceil(col_factor);
     let mut groups = Vec::with_capacity(block_rows * block_cols);
-    let mut cell_to_group = vec![0 as GroupId; rows * cols];
     for br in 0..block_rows {
         for bc in 0..block_cols {
             let r0 = br * row_factor;
             let c0 = bc * col_factor;
             let r1 = (r0 + row_factor - 1).min(rows - 1);
             let c1 = (c0 + col_factor - 1).min(cols - 1);
-            let gid = groups.len() as GroupId;
             groups.push(GroupRect { r0: r0 as u32, r1: r1 as u32, c0: c0 as u32, c1: c1 as u32 });
-            for r in r0..=r1 {
-                for c in c0..=c1 {
-                    cell_to_group[r * cols + c] = gid;
-                }
-            }
         }
     }
-    Ok(Partition::new(rows, cols, groups, cell_to_group))
+    Ok(Partition::from_rects(rows, cols, groups))
 }
 
-/// A merged grid: the partition, the allocated group features (`None` for
-/// null groups), and the resulting IFL.
-pub type MergedGrid = (Partition, Vec<Option<Vec<f64>>>, f64);
+/// A merged grid: the partition, the allocated group features, and the
+/// resulting IFL.
+pub type MergedGrid = (Partition, GroupFeatures, f64);
 
 /// Merges `grid` homogeneously by the given factors and returns the
 /// partition, the allocated group features, and the resulting IFL.
@@ -82,7 +75,7 @@ pub struct HomogeneousOutcome {
     /// exceeds the threshold, mirroring the main driver's fallback).
     pub partition: Partition,
     /// Allocated group features of the accepted partition.
-    pub features: Vec<Option<Vec<f64>>>,
+    pub features: GroupFeatures,
     /// IFL of the accepted partition.
     pub ifl: f64,
     /// The accepted merge factor (applied to both axes).
@@ -99,7 +92,7 @@ pub fn run_homogeneous(grid: &GridDataset, threshold: f64) -> Result<Homogeneous
         return Err(CoreError::InvalidThreshold(threshold));
     }
     let opts = IflOptions::default();
-    type Accepted = (Partition, Vec<Option<Vec<f64>>>, f64, usize);
+    type Accepted = (Partition, GroupFeatures, f64, usize);
     let mut accepted: Option<Accepted> = None;
     let mut attempts = Vec::new();
     let max_factor = grid.rows().min(grid.cols());

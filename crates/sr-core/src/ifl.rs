@@ -26,11 +26,8 @@ pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
 }
 
 /// Computes the IFL (Eq. 3) between `original` and the re-partitioned
-/// dataset described by (`partition`, `group_features`).
-///
-/// `group_features[g]` is the allocated feature vector of group `g`
-/// (`None` for null groups — these contain no valid cells and thus never
-/// contribute terms).
+/// dataset described by (`partition`, `group_features`). Null groups
+/// contain no valid cells and thus never contribute terms.
 ///
 /// Representatives are pre-computed once per (group, attribute) instead of
 /// per (cell, attribute), and the per-cell term sum runs on
@@ -39,7 +36,7 @@ pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
 pub fn partition_ifl(
     original: &GridDataset,
     partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
+    group_features: &GroupFeatures,
     opts: IflOptions,
 ) -> f64 {
     partition_ifl_with(original, partition, group_features, opts, sr_par::Pool::global())
@@ -47,59 +44,6 @@ pub fn partition_ifl(
 
 /// [`partition_ifl`] on an explicit pool.
 pub fn partition_ifl_with(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &[Option<Vec<f64>>],
-    opts: IflOptions,
-    pool: &sr_par::Pool,
-) -> f64 {
-    debug_assert_eq!(group_features.len(), partition.num_groups());
-    let p = original.num_attrs();
-    let aggs = original.agg_types();
-    let n_groups = partition.num_groups();
-    let cells: Vec<CellId> = original.valid_cells().collect();
-
-    // Valid-member counts per group, needed to un-sum Sum attributes.
-    let mut valid_counts = vec![0usize; n_groups];
-    for &id in &cells {
-        valid_counts[partition.group_of(id) as usize] += 1;
-    }
-    // Per-(group, attribute) representatives, computed once. Null groups
-    // keep 0.0 — a valid cell can only live in a group with features, so
-    // those slots are never read for a term.
-    let mut reps = vec![0.0f64; n_groups * p];
-    for (g, feature) in group_features.iter().enumerate() {
-        if let Some(fv) = feature {
-            for k in 0..p {
-                reps[g * p + k] = representative(fv[k], aggs[k], valid_counts[g]);
-            }
-        }
-    }
-
-    let mut skip = vec![0u64; n_groups.div_ceil(64)];
-    for (g, &count) in valid_counts.iter().enumerate() {
-        if count == 1 {
-            skip[g >> 6] |= 1u64 << (g & 63);
-        }
-    }
-    let cache = IflCellCache::build(original, &cells, opts);
-    ifl_over_cells(original, partition, &reps, &skip, &cells, &cache, pool)
-}
-
-/// IFL (Eq. 3) directly from a flat [`GroupFeatures`] arena, without
-/// materializing per-group feature vectors. Numerically identical to
-/// [`partition_ifl`] on the materialized features.
-pub fn partition_ifl_groups(
-    original: &GridDataset,
-    partition: &Partition,
-    group_features: &GroupFeatures,
-    opts: IflOptions,
-) -> f64 {
-    partition_ifl_groups_with(original, partition, group_features, opts, sr_par::Pool::global())
-}
-
-/// [`partition_ifl_groups`] on an explicit pool.
-pub fn partition_ifl_groups_with(
     original: &GridDataset,
     partition: &Partition,
     group_features: &GroupFeatures,
@@ -246,15 +190,18 @@ impl IflCellCache {
     }
 }
 
-/// The shared Eq. 3 kernel: per-cell percentage-error terms against the
-/// pre-computed representatives, summed in fixed-grain chunks whose partials
-/// fold in chunk order (bit-identical at any thread count).
+/// The Eq. 3 sum over the listed cells: per-cell subtotals
+/// ([`cell_term_at`]) against the pre-computed representatives, summed in
+/// fixed-grain chunks whose partials fold in chunk order (bit-identical at
+/// any thread count).
 ///
-/// Skipped terms carry a 0.0 inverse denominator; adding
-/// `|d − r| · 0.0 = 0.0` to a non-negative partial sum leaves it unchanged,
-/// so no per-term branch is needed. Cells whose group is flagged in `skip`
-/// (single-valid-member groups) contribute only exact-zero terms and are
-/// skipped wholesale — early driver iterations are dominated by them.
+/// Each cell's `p` terms are first folded into a per-cell subtotal, and the
+/// subtotals are then added to the chunk partial in ascending cell order.
+/// This two-level grouping is the canonical association of the Eq. 3 sum:
+/// the threshold walk caches exactly these per-cell subtotals and re-folds
+/// them in the same order ([`fold_cell_terms`]), so both produce identical
+/// bits. Cells whose group is flagged in `skip` (single-valid-member
+/// groups) contribute only exact-zero terms and are skipped wholesale.
 fn ifl_over_cells(
     original: &GridDataset,
     partition: &Partition,
@@ -269,22 +216,14 @@ fn ifl_over_cells(
     let has_mode = aggs.contains(&AggType::Mode);
     let partials =
         pool.par_map_chunks(cells.len(), sr_par::fixed_grain(cells.len(), 64), |range| {
-            // Dispatch to a monomorphized kernel for the common attribute
-            // counts: a compile-time trip count lets the per-cell term loop
-            // unroll fully, which the runtime-`p` loop never does. Each
-            // variant adds the same terms to the same accumulator in the
-            // same ascending-`k` order — identical bits, only less loop
-            // bookkeeping.
-            if has_mode {
-                chunk_sum_mode(partition, reps, skip, cells, cache, aggs, p, range)
-            } else {
-                match p {
-                    1 => chunk_sum::<1>(partition, reps, skip, cells, cache, range),
-                    2 => chunk_sum::<2>(partition, reps, skip, cells, cache, range),
-                    4 => chunk_sum::<4>(partition, reps, skip, cells, cache, range),
-                    _ => chunk_sum_dyn(partition, reps, skip, cells, cache, p, range),
+            let mut sum = 0.0f64;
+            for pos in range {
+                let g = partition.group_of(cells[pos]) as usize;
+                if !skip_bit(skip, g) {
+                    sum += cell_term_at(cache, pos, &reps[g * p..g * p + p], aggs, has_mode, p);
                 }
             }
+            sum
         });
 
     if cache.terms == 0 {
@@ -293,97 +232,13 @@ fn ifl_over_cells(
     partials.iter().sum::<f64>() / cache.terms as f64
 }
 
-/// One chunk of the Eq. 3 sum with a compile-time attribute count.
-///
-/// Each cell's `p` terms are first folded into a per-cell subtotal, and the
-/// subtotals are then added to the chunk partial in ascending cell order.
-/// This two-level grouping is the canonical association of the Eq. 3 sum:
-/// the localized path caches exactly these per-cell subtotals and re-folds
-/// them in the same order, so both sides produce identical bits.
-fn chunk_sum<const P: usize>(
-    partition: &Partition,
-    reps: &[f64],
-    skip: &[u64],
-    cells: &[CellId],
-    cache: &IflCellCache,
-    range: std::ops::Range<usize>,
-) -> f64 {
-    let mut sum = 0.0f64;
-    let base = range.start;
-    for (i, &id) in cells[range].iter().enumerate() {
-        let g = partition.group_of(id) as usize;
-        if skip_bit(skip, g) {
-            continue;
-        }
-        let row = (base + i) * 2 * P;
-        let d: &[f64; P] = cache.data[row..row + P].try_into().unwrap();
-        let inv: &[f64; P] = cache.data[row + P..row + 2 * P].try_into().unwrap();
-        let r: &[f64; P] = reps[g * P..g * P + P].try_into().unwrap();
-        let mut t = 0.0f64;
-        for k in 0..P {
-            t += (d[k] - r[k]).abs() * inv[k];
-        }
-        sum += t;
-    }
-    sum
-}
-
-/// [`chunk_sum`] for attribute counts without a monomorphized variant.
-fn chunk_sum_dyn(
-    partition: &Partition,
-    reps: &[f64],
-    skip: &[u64],
-    cells: &[CellId],
-    cache: &IflCellCache,
-    p: usize,
-    range: std::ops::Range<usize>,
-) -> f64 {
-    let mut sum = 0.0f64;
-    let base = range.start;
-    for (i, &id) in cells[range].iter().enumerate() {
-        let g = partition.group_of(id) as usize;
-        if skip_bit(skip, g) {
-            continue;
-        }
-        let r = &reps[g * p..g * p + p];
-        sum += cell_term_at(cache, base + i, r, &[], false, p);
-    }
-    sum
-}
-
-/// [`chunk_sum_dyn`] with categorical attributes: `Mode` terms are
-/// mismatch indicators (§VI), everything else a percentage error.
-#[allow(clippy::too_many_arguments)]
-fn chunk_sum_mode(
-    partition: &Partition,
-    reps: &[f64],
-    skip: &[u64],
-    cells: &[CellId],
-    cache: &IflCellCache,
-    aggs: &[AggType],
-    p: usize,
-    range: std::ops::Range<usize>,
-) -> f64 {
-    let mut sum = 0.0f64;
-    let base = range.start;
-    for (i, &id) in cells[range].iter().enumerate() {
-        let g = partition.group_of(id) as usize;
-        if skip_bit(skip, g) {
-            continue;
-        }
-        let r = &reps[g * p..g * p + p];
-        sum += cell_term_at(cache, base + i, r, aggs, true, p);
-    }
-    sum
-}
-
 /// The per-cell Eq. 3 subtotal at cell-list position `pos` against a
 /// representative row: the cell's `p` terms added in ascending attribute
-/// order. This is the exact inner loop of the batch kernels (including the
-/// monomorphized variants — same expression per attribute, same add order),
-/// so a cached subtotal can replace a live evaluation bit for bit.
-///
-/// When `has_mode` is false `aggs` is never read and may be empty.
+/// order. Skipped terms carry a 0.0 inverse denominator; adding
+/// `|d − r| · 0.0 = 0.0` to a non-negative subtotal leaves it unchanged,
+/// so no per-term branch is needed. [`partition_ifl`] sums exactly these
+/// subtotals, so a cached subtotal can replace a live evaluation bit for
+/// bit.
 #[inline]
 pub(crate) fn cell_term_at(
     cache: &IflCellCache,
@@ -418,8 +273,8 @@ pub(crate) fn cell_term_at(
 /// fixed-grain chunking and chunk-order partial fold as [`ifl_over_cells`].
 ///
 /// Adding a `+0.0` subtotal to a non-negative partial is a bitwise no-op,
-/// so the result is identical to the batch kernel, which skips those cells
-/// outright.
+/// so the result is identical to [`partition_ifl`], which skips those
+/// cells outright.
 pub(crate) fn fold_cell_terms(terms: &[f64], term_count: usize, pool: &sr_par::Pool) -> f64 {
     let partials =
         pool.par_map_chunks(terms.len(), sr_par::fixed_grain(terms.len(), 64), |range| {
@@ -480,7 +335,7 @@ mod tests {
         .unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
         let feats = allocate_features(&g, &p);
-        assert_eq!(feats[0].as_deref(), Some(&[30.0][..]));
+        assert_eq!(feats.row(0), Some(&[30.0][..]));
         let ifl = partition_ifl(&g, &p, &feats, IflOptions::default());
         assert!((ifl - 0.375).abs() < 1e-12);
     }

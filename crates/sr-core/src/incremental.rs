@@ -16,15 +16,15 @@
 //!   normalized values, one divide by `p`, validity patching), with
 //!   normalization applied on the fly (`x / m` is the same operation
 //!   whether the quotient is stored in a normalized plane or not).
-//! - The variation heap's value multiset equals the finite edge values (a
-//!   finite edge *is* a valid–valid adjacent pair, and both sides compute
-//!   the pair variation with identical operations — pinned by the
-//!   `sr-grid` scan-equivalence tests), so the sorted multiset is patched
-//!   by removing each changed edge's old finite value and inserting its
-//!   new one; thresholds are then regenerated through the *same*
-//!   [`VariationHeap::into_sorted_distinct`] dedup chain the batch path
-//!   uses. Equal multisets sort to bit-equal vectors, so the chain walks
-//!   identical values and emits identical thresholds.
+//! - The variation heap's value multiset *is* the finite edge values:
+//!   [`VariationHeap::from_grid_with`] collects its keys from the same
+//!   [`EdgeVariations`] scan (a finite edge is a valid–valid adjacent
+//!   pair). The sorted multiset is patched by removing each changed
+//!   edge's old finite value and inserting its new one; thresholds are
+//!   then regenerated with the dedup loop of
+//!   [`VariationHeap::into_sorted_distinct`]. Equal multisets sort to
+//!   bit-equal vectors, so the loop walks identical values and emits
+//!   identical thresholds.
 //! - Any change to a normalization denominator (`attr_max_abs`) or to the
 //!   validity set falls back to rebuilding the affected structures
 //!   outright: the former invalidates every edge (edges + threshold
@@ -45,10 +45,9 @@
 //! [`VariationHeap::into_sorted_distinct`]: crate::heap::VariationHeap::into_sorted_distinct
 //! [`VariationHeap::from_grid_with`]: crate::heap::VariationHeap::from_grid_with
 
-use crate::extractor::EdgeVariations;
-use crate::heap::sort_key;
+use crate::heap::{finite_edges, push_distinct, sort_key, DEFAULT_DEDUP_EPS};
 use crate::ifl::IflCellCache;
-use sr_grid::{normalize_attributes, AggType, CellId, GridDataset, IflOptions};
+use sr_grid::{normalize_attributes, AggType, CellId, EdgeVariations, GridDataset, IflOptions};
 
 /// Report of one [`ScanCache::update`] call — how much work the patch
 /// actually did, for telemetry and for tests that pin the fast path.
@@ -178,8 +177,8 @@ impl ScanCache {
             // Incident edges of the dirty region: up to 4 per cell, deduped.
             // Encoding: horizontal edge at flat index `i` is `2i`, vertical
             // `2i + 1` — only so one sorted list covers both arrays.
-            let cols = self.edges.cols;
-            let rows = self.edges.rows;
+            let cols = self.edges.cols();
+            let rows = self.edges.rows();
             let mut edge_keys: Vec<usize> = Vec::with_capacity(dirty_sorted.len() * 4);
             for &id in &dirty_sorted {
                 let i = id as usize;
@@ -202,12 +201,13 @@ impl ScanCache {
 
             let mut removals: Vec<f64> = Vec::new();
             let mut insertions: Vec<f64> = Vec::new();
+            let (h, v) = self.edges.edges_mut();
             for &key in &edge_keys {
                 let i = key >> 1;
                 let (store, other) = if key & 1 == 0 {
-                    (&mut self.edges.h[i], (i + 1) as CellId)
+                    (&mut h[i], (i + 1) as CellId)
                 } else {
-                    (&mut self.edges.v[i], (i + cols) as CellId)
+                    (&mut v[i], (i + cols) as CellId)
                 };
                 let old = *store;
                 let new = edge_value(grid, &self.max_abs, i as CellId, other);
@@ -275,16 +275,16 @@ impl ScanCache {
         self.raw = out;
     }
 
-    /// Regenerates the ascending distinct thresholds with the same dedup
-    /// chain the batch path uses ([`VariationHeap::into_sorted_distinct`]),
-    /// so an equal multiset yields bit-equal thresholds.
+    /// Regenerates the ascending distinct thresholds with the dedup loop
+    /// of [`VariationHeap::into_sorted_distinct`], so an equal multiset
+    /// yields bit-equal thresholds.
     ///
     /// `raw` is already maintained in the heap's total order, and the
     /// heap's lazy sort round-trips every finite value bitwise through the
     /// `sort_key` bijection — so the heap would walk exactly this
     /// sequence. Deduping directly skips re-sorting a couple hundred
     /// thousand values on every run (the `thresholds_match_variation_heap`
-    /// test pins the bit equality).
+    /// test pins the bit equality against a from-scratch heap).
     ///
     /// [`VariationHeap::into_sorted_distinct`]: crate::heap::VariationHeap::into_sorted_distinct
     pub fn sorted_distinct_thresholds(&self) -> Vec<f64> {
@@ -298,14 +298,7 @@ impl ScanCache {
     pub fn sorted_distinct_thresholds_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.raw.len());
-        let mut last = f64::NEG_INFINITY;
-        for &v in &self.raw {
-            if (v - last).abs() <= crate::heap::DEFAULT_DEDUP_EPS {
-                continue;
-            }
-            last = v;
-            out.push(v);
-        }
+        push_distinct(&self.raw, f64::NEG_INFINITY, DEFAULT_DEDUP_EPS, out);
     }
 
     /// The maintained edge variations.
@@ -353,8 +346,7 @@ impl ScanCache {
 /// path of [`ScanCache::update_with`].
 fn rebuild_edges(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
     let edges = EdgeVariations::build_with(normalized, pool);
-    let mut raw: Vec<f64> =
-        edges.h.iter().chain(edges.v.iter()).copied().filter(|v| v.is_finite()).collect();
+    let mut raw = finite_edges(&edges);
     raw.sort_unstable_by_key(|&v| sort_key(v));
     (edges, raw)
 }
@@ -419,8 +411,8 @@ mod tests {
         let fresh = ScanCache::build(grid, cache.ifl_options());
         assert_eq!(cache.cells, fresh.cells);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&cache.edges.h), bits(&fresh.edges.h), "h edges diverged");
-        assert_eq!(bits(&cache.edges.v), bits(&fresh.edges.v), "v edges diverged");
+        assert_eq!(bits(cache.edges.h()), bits(fresh.edges.h()), "h edges diverged");
+        assert_eq!(bits(cache.edges.v()), bits(fresh.edges.v()), "v edges diverged");
         assert_eq!(bits(&cache.raw), bits(&fresh.raw), "variation multiset diverged");
         assert_eq!(
             bits(&cache.sorted_distinct_thresholds()),
@@ -541,9 +533,11 @@ mod tests {
             }
             cache.update(&g, &dirty);
             let direct = cache.sorted_distinct_thresholds();
-            let heap = VariationHeap::from_values(cache.raw.iter().copied()).into_sorted_distinct();
+            // A from-scratch scan of the updated grid: a fresh edge scan,
+            // the heap's own sort, and its dedup.
+            let heap = VariationHeap::from_grid(&normalize_attributes(&g)).into_sorted_distinct();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&direct), bits(&heap), "dedup shortcut diverged from the heap chain");
+            assert_eq!(bits(&direct), bits(&heap), "patched thresholds diverged from a fresh heap");
         }
     }
 
@@ -559,6 +553,38 @@ mod tests {
             &[],
             sr_par::Pool::global(),
         );
+        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
+    }
+
+    /// A cache built for another grid shape, or for the same shape with a
+    /// different valid-cell set size, is refused instead of being indexed
+    /// with the grid's shape.
+    #[test]
+    fn cache_of_another_grid_is_rejected() {
+        let driver = Repartitioner::new(0.1).unwrap();
+        let run = |grid: &GridDataset, cache: &ScanCache| {
+            driver.run_localized(
+                grid,
+                cache,
+                &mut LocalizedState::new(),
+                &[],
+                sr_par::Pool::global(),
+            )
+        };
+        // Same cell count, other shape: 10×10 cache on a 5×20 grid.
+        let cache = ScanCache::build(&random_grid(10, 10, 1), IflOptions::default());
+        let err = run(&random_grid(5, 20, 2), &cache);
+        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
+        // Fewer cells: a 6×6 cache on a 10×10 grid.
+        let cache = ScanCache::build(&random_grid(6, 6, 3), IflOptions::default());
+        let err = run(&random_grid(10, 10, 4), &cache);
+        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
+        // Same shape, a cell nulled after the cache was built (the update
+        // that would have rebuilt the cell list never ran).
+        let mut g = random_grid(8, 8, 5);
+        let cache = ScanCache::build(&g, IflOptions::default());
+        g.set_null(9);
+        let err = run(&g, &cache);
         assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
     }
 }

@@ -12,14 +12,21 @@
 //!
 //! 1. [`heap::VariationHeap`] — pop the next *min-adjacent variation*
 //!    (§III-A1): variations of all adjacent cell pairs on the
-//!    attribute-normalized grid, pre-computed once into a min-heap.
+//!    attribute-normalized grid (Eq. 1, sr-grid's
+//!    [`EdgeVariations`](sr_grid::EdgeVariations) scan), pre-computed once
+//!    into a min-heap.
 //! 2. [`extractor::extract_cell_groups`] — Algorithm 1: greedily grow
 //!    rectangular groups of adjacent cells whose adjacent-pair variations
 //!    all stay within the iteration's min-adjacent variation.
 //! 3. [`allocator::allocate_features`] — Algorithm 2: give each group a
-//!    representative feature vector (sum, or the better of mean/mode).
+//!    representative feature vector (sum, or the better of mean/mode),
+//!    held in one flat [`GroupFeatures`] table.
 //! 4. [`ifl`] — Eq. 3 between input and re-partitioned data; accept the
 //!    iteration if `IFL ≤ θ`, else stop and keep the previous partition.
+//!
+//! Each step has one implementation, the one the driver's threshold walk
+//! ([`localized`]) runs; the public stage functions above call the same
+//! kernels, so a stage run on its own reproduces the driver's bits.
 //!
 //! The driver lives in [`repartition::Repartitioner`]; the accepted result
 //! is a [`repartition::Repartitioned`], which offers the training-side
@@ -46,16 +53,11 @@ pub mod streaming;
 pub mod temporal;
 
 pub use allocator::{allocate_features, allocate_features_with, GroupFeatures};
-pub use extractor::{
-    extract_cell_groups, extract_cell_groups_with, extract_with_edges, EdgeVariations,
-};
+pub use extractor::{extract_cell_groups, extract_cell_groups_with, extract_with_edges};
 pub use group_adjacency::{group_adjacency, group_adjacency_with};
 pub use heap::VariationHeap;
 pub use homogeneous::{homogeneous_ifl, homogeneous_merge, run_homogeneous, HomogeneousOutcome};
-pub use ifl::{
-    partition_ifl, partition_ifl_groups, partition_ifl_groups_with, partition_ifl_with,
-    representative,
-};
+pub use ifl::{partition_ifl, partition_ifl_with, representative};
 pub use incremental::{ScanCache, ScanUpdate};
 pub use localized::LocalizedState;
 pub use partition::{GroupId, GroupRect, Partition};
@@ -83,9 +85,19 @@ pub enum CoreError {
         factor: usize,
     },
     /// A [`ScanCache`] was handed to a driver whose IFL options differ from
-    /// the ones the cache was built with — its Eq. 3 term cache would be
-    /// silently wrong.
+    /// the ones the cache was built with (its Eq. 3 term cache would be
+    /// silently wrong), or that was built for another grid: a different
+    /// row count, column count or valid-cell count than the grid passed
+    /// with it.
     ScanCacheMismatch,
+    /// An [`IterationStrategy::Exponential`] walk needs an initial stride of
+    /// at least 1 and a finite growth factor above 1.
+    InvalidStrategy {
+        /// The offending initial stride.
+        initial_stride: usize,
+        /// The offending growth factor.
+        growth: f64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -99,8 +111,13 @@ impl std::fmt::Display for CoreError {
                 write!(f, "merge factor {factor} is invalid for this grid")
             }
             CoreError::ScanCacheMismatch => {
-                write!(f, "scan cache was built with different IFL options than the driver")
+                write!(f, "scan cache was built for another grid or other IFL options")
             }
+            CoreError::InvalidStrategy { initial_stride, growth } => write!(
+                f,
+                "exponential strategy needs initial_stride >= 1 and a finite growth > 1, \
+                 got initial_stride {initial_stride}, growth {growth}"
+            ),
         }
     }
 }

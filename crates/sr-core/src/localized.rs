@@ -14,16 +14,15 @@
 //!    bounds every edge the anchored scan compared. On the next run, a row
 //!    whose traced footprints contain no dirty cell — and whose incoming
 //!    spill profile matches the previous run's — is copied wholesale; only
-//!    rows near dirt are re-scanned with the shared
-//!    `probe_anchored_rect` kernel. Identical probe reads force identical
-//!    rectangles, so the replayed tiling equals a from-scratch extraction
-//!    bit for bit.
+//!    rows near dirt are re-scanned with the extractor's row cursor
+//!    (`scan_row`). Identical probe reads force identical rectangles, so
+//!    the replayed tiling equals a from-scratch extraction bit for bit.
 //! 2. **Group-state reuse.** Per-group features, representatives, and the
 //!    Eq. 3 per-member subtotals are cached keyed by the group's rectangle
 //!    (the "content fingerprint": under a fixed grid, a rectangle *is* its
 //!    member set). An entry stays valid while no dirty cell lies inside the
 //!    rectangle; the IFL then re-folds the cached subtotals in canonical
-//!    cell order (`fold_cell_terms`), which the batch kernel's two-level
+//!    cell order (`fold_cell_terms`), which `partition_ifl`'s two-level
 //!    grouping makes bit-identical to a live evaluation.
 //! 3. **Warm-started θ search.** The walk starts from the previously
 //!    accepted variation and expands outward
@@ -39,16 +38,16 @@
 //! rectangle cache survives — it is keyed on raw values and re-validated
 //! against the dirty region).
 
-use crate::allocator::{allocate_rect_into, GroupFeatures, Scratch};
-use crate::extractor::{probe_anchored_rect, EdgeVariations, RectProbe, VARIATION_SLACK};
+use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
+use crate::extractor::{scan_row, VARIATION_SLACK};
 use crate::ifl::{cell_term_at, fold_cell_terms, representative, IflCellCache};
 use crate::incremental::ScanCache;
-use crate::partition::{GroupId, GroupRect, Partition};
+use crate::partition::{GroupRect, Partition};
 use crate::repartition::{
     IterationStats, RepartitionOutcome, Repartitioned, Repartitioner, WalkKind,
 };
 use crate::{CoreError, Result};
-use sr_grid::{AggType, CellId, GridDataset};
+use sr_grid::{AggType, CellId, EdgeVariations, GridDataset};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -73,7 +72,7 @@ struct ThetaTrace {
     /// Run that recorded the trace (only traces exactly one run old are
     /// replayed — the dirty set describes exactly one generation of edits).
     epoch: u64,
-    /// Emitted rectangles in the batch extractor's scan order.
+    /// Emitted rectangles in the extractor's scan order.
     rects: Vec<GroupRect>,
     /// Per rectangle: deepest row its probe visited (`RectProbe::reach`).
     reach: Vec<u32>,
@@ -247,12 +246,9 @@ impl LocalizedState {
 /// Scratch buffers of the replay scan, reused across evaluations.
 #[derive(Debug, Default)]
 struct ReplayScratch {
-    /// Per-column spill profile of the *new* tiling: `bot[c]` is one past
-    /// the deepest row covered by any emitted rectangle touching column
-    /// `c`. For the current scan row `r`, `(rr, c)` with `rr ≥ r` is
-    /// assigned iff `rr < bot[c]` — every rectangle still covering rows
-    /// `≥ r` was anchored at a row `≤ r`, so its column coverage at rows
-    /// `≥ r` is contiguous from `r` up to its bottom row.
+    /// Per-column spill profile of the *new* tiling (`scan_row`'s `bot`):
+    /// `bot[c]` is one past the deepest row covered by any emitted
+    /// rectangle touching column `c`.
     bot_new: Vec<u32>,
     /// The same profile replayed from the previous run's trace.
     bot_old: Vec<u32>,
@@ -291,54 +287,13 @@ fn dirty_in_box(prefix: &[u32], cols: usize, r0: usize, r1: usize, c0: usize, c1
     prefix[r1 * w + c1] + prefix[r0 * w + c0] > prefix[r0 * w + c1] + prefix[r1 * w + c0]
 }
 
-/// Scans one row with the shared anchored-rectangle kernel, appending the
-/// emitted rectangles and footprints and advancing the spill profile.
-/// Together with the profile-based assignment predicate this reproduces the
-/// batch extractor's cursor exactly: the cursor skips spilled-over cells,
-/// probes at each anchor, and jumps past the emitted width.
-#[allow(clippy::too_many_arguments)]
-fn scan_row(
-    edges: &EdgeVariations,
-    accept: f64,
-    r: usize,
-    cols: usize,
-    bot: &mut [u32],
-    rects: &mut Vec<GroupRect>,
-    reach: &mut Vec<u32>,
-    run_width: &mut Vec<u32>,
-) {
-    let mut c = 0usize;
-    while c < cols {
-        if bot[c] as usize > r {
-            c += 1;
-            continue;
-        }
-        let probe: RectProbe =
-            probe_anchored_rect(edges, accept, r, c, |rr, cc| rr < bot[cc] as usize);
-        let (h, w) = (probe.height, probe.width);
-        rects.push(GroupRect {
-            r0: r as u32,
-            r1: (r + h - 1) as u32,
-            c0: c as u32,
-            c1: (c + w - 1) as u32,
-        });
-        reach.push(probe.reach as u32);
-        run_width.push(probe.run_width as u32);
-        for col in &mut bot[c..c + w] {
-            *col = (r + h) as u32;
-        }
-        c += w;
-    }
-}
-
 /// From-scratch trace extraction: every row scanned, every probe recorded.
-/// Emits the same rectangles in the same order as the batch
-/// `extract_with_edges_into` (the cursor and probe are the same code).
+/// Emits the same rectangles in the same order as
+/// [`crate::extract_with_edges`] (the cursor is the same code).
 fn extract_full_trace(
     edges: &EdgeVariations,
     accept: f64,
     rows: usize,
-    cols: usize,
     rs: &mut ReplayScratch,
     epoch: u64,
 ) -> ThetaTrace {
@@ -349,7 +304,11 @@ fn extract_full_trace(
     let mut row_start = Vec::with_capacity(rows + 1);
     row_start.push(0u32);
     for r in 0..rows {
-        scan_row(edges, accept, r, cols, &mut rs.bot_new, &mut rects, &mut reach, &mut run_width);
+        scan_row(edges, accept, r, &mut rs.bot_new, |rect, probe| {
+            rects.push(rect);
+            reach.push(probe.reach as u32);
+            run_width.push(probe.run_width as u32);
+        });
         row_start.push(rects.len() as u32);
     }
     ThetaTrace { epoch, rects, reach, run_width, row_start }
@@ -426,16 +385,11 @@ fn replay_trace(
             }
         } else {
             let start = rects.len();
-            scan_row(
-                edges,
-                accept,
-                r,
-                cols,
-                &mut rs.bot_new,
-                &mut rects,
-                &mut reach,
-                &mut run_width,
-            );
+            scan_row(edges, accept, r, &mut rs.bot_new, |rect, probe| {
+                rects.push(rect);
+                reach.push(probe.reach as u32);
+                run_width.push(probe.run_width as u32);
+            });
             for gi in og.clone() {
                 let rect = old.rects[gi];
                 for c in rect.c0 as usize..=rect.c1 as usize {
@@ -688,28 +642,18 @@ fn store_trace(traces: &mut KeyMap<u64, ThetaTrace>, key: u64, trace: ThetaTrace
     traces.insert(key, trace);
 }
 
-/// Materializes the winning tiling: the `cell_to_group` index from the
-/// rectangles (scan order = batch group-id order) and the feature arena
-/// from cached entries, falling back to a live allocation on a cache miss.
-#[allow(clippy::too_many_arguments)]
+/// Materializes the winning tiling: the partition from the rectangles
+/// (scan order = group-id order) and the feature arena from cached
+/// entries, falling back to a live allocation on a cache miss.
 fn materialize(
     grid: &GridDataset,
-    rows: usize,
-    cols: usize,
-    p: usize,
     winner: &[GroupRect],
     rect_cache: &KeyMap<GroupRect, RectEntry>,
     epoch: u64,
     scratch: &mut Scratch,
 ) -> (Partition, GroupFeatures) {
-    let mut cell_to_group = vec![0 as GroupId; rows * cols];
-    for (g, &rect) in winner.iter().enumerate() {
-        for rr in rect.r0 as usize..=rect.r1 as usize {
-            let base = rr * cols;
-            cell_to_group[base + rect.c0 as usize..=base + rect.c1 as usize].fill(g as GroupId);
-        }
-    }
-    let partition = Partition::new(rows, cols, winner.to_vec(), cell_to_group);
+    let p = grid.num_attrs();
+    let partition = Partition::from_rects(grid.rows(), grid.cols(), winner.to_vec());
     let mut values = Vec::with_capacity(winner.len() * p);
     let mut counts = Vec::with_capacity(winner.len());
     for &rect in winner {
@@ -726,7 +670,7 @@ fn materialize(
             }
         }
     }
-    (partition, GroupFeatures::from_raw(p, values, counts))
+    (partition, GroupFeatures::from_parts(p, values, counts))
 }
 
 impl Repartitioner {
@@ -755,7 +699,11 @@ impl Repartitioner {
         dirty: &[CellId],
         pool: &sr_par::Pool,
     ) -> Result<RepartitionOutcome> {
-        if scan.ifl_options() != self.ifl_options() {
+        let edges = scan.edges();
+        if scan.ifl_options() != self.ifl_options()
+            || (edges.rows(), edges.cols()) != (grid.rows(), grid.cols())
+            || scan.num_valid_cells() != grid.num_valid_cells()
+        {
             return Err(CoreError::ScanCacheMismatch);
         }
         let n = grid.num_cells();
@@ -864,7 +812,7 @@ impl Repartitioner {
                         path = 1;
                         replay_trace(edges, accept, rows, cols, t, prefix, rs, epoch)
                     }
-                    _ => extract_full_trace(edges, accept, rows, cols, rs, epoch),
+                    _ => extract_full_trace(edges, accept, rows, rs, epoch),
                 };
                 let num_groups = trace.rects.len();
                 ex_span.record("path", path);
@@ -918,23 +866,15 @@ impl Repartitioner {
 
         let repartitioned = match best {
             Some((theta, ifl, _)) => {
-                let (partition, features) = materialize(
-                    grid,
-                    rows,
-                    cols,
-                    p,
-                    &winner_rects,
-                    &state.rect_cache,
-                    epoch,
-                    &mut scratch,
-                );
+                let (partition, features) =
+                    materialize(grid, &winner_rects, &state.rect_cache, epoch, &mut scratch);
                 Repartitioned::from_parts(grid, partition, features, ifl, theta)
             }
             // Nothing accepted (or no adjacent pairs): the identity
             // partition, whose IFL is exactly zero.
             None => {
                 let partition = Partition::identity(rows, cols);
-                let features = GroupFeatures::allocate_with(grid, &partition, pool);
+                let features = allocate_features_with(grid, &partition, pool);
                 Repartitioned::from_parts(grid, partition, features, 0.0, 0.0)
             }
         };

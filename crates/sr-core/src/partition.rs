@@ -126,18 +126,28 @@ impl Partition {
         Partition { rows, cols, groups, cell_to_group }
     }
 
+    /// Builds a partition from a tiling's rectangles in group-id order,
+    /// filling `cIndex` from them — the one fill every tiling producer in
+    /// the crate (extractor, threshold walk, quadtree, block merge,
+    /// identity) uses.
+    pub(crate) fn from_rects(rows: usize, cols: usize, groups: Vec<GroupRect>) -> Self {
+        let mut cell_to_group = vec![0 as GroupId; rows * cols];
+        for (g, rect) in groups.iter().enumerate() {
+            for r in rect.r0 as usize..=rect.r1 as usize {
+                let base = r * cols;
+                cell_to_group[base + rect.c0 as usize..=base + rect.c1 as usize].fill(g as GroupId);
+            }
+        }
+        Partition::new(rows, cols, groups, cell_to_group)
+    }
+
     /// The identity partition: every cell is its own group (the state before
     /// the first merge iteration; IFL is exactly zero).
     pub fn identity(rows: usize, cols: usize) -> Self {
-        let mut groups = Vec::with_capacity(rows * cols);
-        let mut cell_to_group = Vec::with_capacity(rows * cols);
-        for r in 0..rows as u32 {
-            for c in 0..cols as u32 {
-                cell_to_group.push(groups.len() as GroupId);
-                groups.push(GroupRect::cell(r, c));
-            }
-        }
-        Partition { rows, cols, groups, cell_to_group }
+        let groups = (0..rows as u32)
+            .flat_map(|r| (0..cols as u32).map(move |c| GroupRect::cell(r, c)))
+            .collect();
+        Partition::from_rects(rows, cols, groups)
     }
 
     /// Grid rows.

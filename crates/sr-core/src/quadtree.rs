@@ -9,11 +9,9 @@
 //! so the result is a drop-in [`Partition`] — the ablation binary compares
 //! group counts at equal IFL against the paper's greedy extractor.
 
-use crate::partition::{GroupId, GroupRect, Partition};
+use crate::extractor::VARIATION_SLACK;
+use crate::partition::{GroupRect, Partition};
 use sr_grid::{variation_between_typed, GridDataset};
-
-/// Matches the extractor's comparison slack.
-const VARIATION_SLACK: f64 = 1e-12;
 
 /// Builds a quadtree partition of `normalized` under the given
 /// min-adjacent variation.
@@ -58,13 +56,7 @@ pub fn quadtree_partition(normalized: &GridDataset, min_adjacent_variation: f64)
 
     // Deterministic group ids: sort rectangles row-major by origin.
     groups.sort_by_key(|r| (r.r0, r.c0));
-    let mut cell_to_group = vec![0 as GroupId; rows * cols];
-    for (gid, rect) in groups.iter().enumerate() {
-        for (r, c) in rect.cells() {
-            cell_to_group[r as usize * cols + c as usize] = gid as GroupId;
-        }
-    }
-    Partition::new(rows, cols, groups, cell_to_group)
+    Partition::from_rects(rows, cols, groups)
 }
 
 /// A rectangle is homogeneous when all its cells agree on validity and all
@@ -189,6 +181,6 @@ mod tests {
         assert!(ifl.is_finite() && ifl >= 0.0);
         // Null cell isolated in a null leaf.
         let null_group = p.group_of(99);
-        assert!(feats[null_group as usize].is_none());
+        assert!(feats.row(null_group as usize).is_none());
     }
 }

@@ -60,7 +60,8 @@ pub fn reconstruct_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifl::partition_ifl_groups;
+    use crate::allocator::allocate_features;
+    use crate::ifl::partition_ifl;
     use crate::partition::GroupRect;
     use sr_grid::{information_loss, AggType, Bounds, IflOptions};
 
@@ -80,7 +81,7 @@ mod tests {
         )
         .unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
-        let feats = GroupFeatures::allocate(&g, &p);
+        let feats = allocate_features(&g, &p);
         assert_eq!(feats.row(0), Some(&[54.0][..]));
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert_eq!(rec.features(0).unwrap(), &[27.0]);
@@ -91,7 +92,7 @@ mod tests {
     fn avg_reconstruction_copies_group_value() {
         let g = GridDataset::univariate(1, 2, vec![10.0, 20.0]).unwrap();
         let p = Partition::new(1, 2, vec![GroupRect { r0: 0, r1: 0, c0: 0, c1: 1 }], vec![0, 0]);
-        let feats = GroupFeatures::allocate(&g, &p);
+        let feats = allocate_features(&g, &p);
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert_eq!(rec.features(0).unwrap(), &[15.0]);
         assert_eq!(rec.features(1).unwrap(), &[15.0]);
@@ -103,7 +104,7 @@ mod tests {
         g.set_null(2);
         let norm = sr_grid::normalize_attributes(&g);
         let p = crate::extractor::extract_cell_groups(&norm, 1.0);
-        let feats = GroupFeatures::allocate(&g, &p);
+        let feats = allocate_features(&g, &p);
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         assert!(!rec.is_valid(2));
         assert_eq!(rec.features(0).unwrap(), &[5.0]);
@@ -120,8 +121,8 @@ mod tests {
         let g = GridDataset::univariate(8, 8, vals).unwrap();
         let norm = sr_grid::normalize_attributes(&g);
         let p = crate::extractor::extract_cell_groups(&norm, 0.15);
-        let feats = GroupFeatures::allocate(&g, &p);
-        let via_partition = partition_ifl_groups(&g, &p, &feats, IflOptions::default());
+        let feats = allocate_features(&g, &p);
+        let via_partition = partition_ifl(&g, &p, &feats, IflOptions::default());
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
         assert!((via_partition - via_grid).abs() < 1e-12);

@@ -41,7 +41,7 @@ pub enum IterationStrategy {
     Exponential {
         /// First stride through the sorted distinct variations (≥ 1).
         initial_stride: usize,
-        /// Stride growth factor (> 1.0).
+        /// Stride growth factor (finite, > 1.0).
         growth: f64,
     },
 }
@@ -265,8 +265,8 @@ impl Repartitioner {
             return Err(CoreError::InvalidThreshold(config.threshold));
         }
         if let IterationStrategy::Exponential { initial_stride, growth } = config.strategy {
-            if initial_stride == 0 || growth <= 1.0 {
-                return Err(CoreError::InvalidThreshold(growth));
+            if initial_stride == 0 || !(growth.is_finite() && growth > 1.0) {
+                return Err(CoreError::InvalidStrategy { initial_stride, growth });
             }
         }
         Ok(Repartitioner { config })
@@ -411,9 +411,10 @@ impl Repartitioner {
                         break;
                     }
                     // Clamp to the final threshold so the coarsest candidate
-                    // is always evaluated before the walk ends.
-                    idx = (idx + stride).min(thresholds.len() - 1);
-                    stride = ((stride as f64 * growth) as usize).max(stride + 1);
+                    // is always evaluated before the walk ends; a stride
+                    // near `usize::MAX` saturates onto it.
+                    idx = idx.saturating_add(stride).min(thresholds.len() - 1);
+                    stride = ((stride as f64 * growth) as usize).max(stride.saturating_add(1));
                 }
                 // Binary-search the skipped range for the coarsest accepted
                 // threshold (IFL is near-monotone in the variation).
@@ -722,6 +723,53 @@ mod tests {
         let gid = rep.partition().group_of(35);
         assert!(rep.group_feature(gid).is_some());
         assert!(rep.num_valid_groups() < rep.num_groups());
+    }
+
+    fn exponential(initial_stride: usize, growth: f64) -> RepartitionConfig {
+        RepartitionConfig::new(0.1)
+            .unwrap()
+            .with_strategy(IterationStrategy::Exponential { initial_stride, growth })
+    }
+
+    #[test]
+    fn zero_stride_is_an_invalid_strategy() {
+        let err = Repartitioner::with_config(exponential(0, 2.0)).unwrap_err();
+        assert_eq!(err, CoreError::InvalidStrategy { initial_stride: 0, growth: 2.0 });
+    }
+
+    #[test]
+    fn growth_must_be_finite_and_above_one() {
+        for growth in [f64::NAN, f64::INFINITY, 1.0, 0.5, -3.0] {
+            let err = Repartitioner::with_config(exponential(4, growth)).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidStrategy { initial_stride: 4, .. }),
+                "growth {growth}: {err:?}"
+            );
+        }
+        assert!(Repartitioner::with_config(exponential(1, 1.0 + 1e-9)).is_ok());
+    }
+
+    #[test]
+    fn huge_stride_jumps_to_the_last_threshold_and_bisects() {
+        let g = smooth_grid(12, 12, 10);
+        // θ = 0.01: the finest threshold is accepted, the coarsest (one
+        // group over a ~15% value range) is not.
+        let cfg =
+            RepartitionConfig::new(0.01).unwrap().with_strategy(IterationStrategy::Exponential {
+                initial_stride: usize::MAX,
+                growth: 2.0,
+            });
+        let out = Repartitioner::with_config(cfg).unwrap().run(&g).unwrap();
+        assert!(out.repartitioned.ifl() <= 0.01);
+        // The first probe is the bottom threshold, the second the top one.
+        assert!(out.iterations[0].accepted);
+        let top = out.iterations[1].min_adjacent_variation;
+        assert!(out.iterations.iter().all(|it| it.min_adjacent_variation <= top));
+        // The top threshold is rejected, so the walk bisects the range in
+        // between and keeps a partition coarser than the first probe's.
+        assert!(!out.iterations[1].accepted);
+        assert!(out.iterations.len() > 2);
+        assert!(out.repartitioned.num_groups() < out.iterations[0].num_groups);
     }
 
     #[test]

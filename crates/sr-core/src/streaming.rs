@@ -76,7 +76,9 @@ impl StreamingRepartitioner {
 
         let rects = partition.rects().to_vec();
         let cell_to_group = partition.cell_to_group().to_vec();
-        let features = rep.features().clone().into_options();
+        let features = (0..rects.len() as GroupId)
+            .map(|g| rep.group_feature(g).map(<[f64]>::to_vec))
+            .collect();
 
         let mut this = StreamingRepartitioner {
             threshold,

@@ -11,8 +11,8 @@
 //! [`StepOutcome::reused`] flag and [`TemporalRepartitioner::reuse_rate`]
 //! quantify the savings.
 
-use crate::allocator::GroupFeatures;
-use crate::ifl::partition_ifl_groups;
+use crate::allocator::allocate_features;
+use crate::ifl::partition_ifl;
 use crate::partition::Partition;
 use crate::repartition::{IterationStrategy, RepartitionConfig, Repartitioned, Repartitioner};
 use crate::{CoreError, Result};
@@ -135,8 +135,8 @@ impl TemporalRepartitioner {
                 return Ok(None);
             }
         }
-        let features = GroupFeatures::allocate(grid, &partition);
-        let ifl = partition_ifl_groups(grid, &partition, &features, self.ifl_options);
+        let features = allocate_features(grid, &partition);
+        let ifl = partition_ifl(grid, &partition, &features, self.ifl_options);
         if ifl > self.threshold {
             return Ok(None);
         }

@@ -99,8 +99,7 @@ proptest! {
         let p = extract_cell_groups(&norm, theta);
         let feats = allocate_features(&g, &p);
         let direct = partition_ifl(&g, &p, &feats, IflOptions::default());
-        let arena = sr_core::GroupFeatures::allocate(&g, &p);
-        let rec = sr_core::reconstruct_grid(&g, &p, &arena).unwrap();
+        let rec = sr_core::reconstruct_grid(&g, &p, &feats).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
         prop_assert!((direct - via_grid).abs() < 1e-10);
     }
@@ -156,7 +155,7 @@ proptest! {
         let p = extract_cell_groups(&norm, theta);
         let feats = allocate_features(&g, &p);
         for gid in 0..p.num_groups() as u32 {
-            let Some(fv) = &feats[gid as usize] else { continue };
+            let Some(fv) = feats.row(gid as usize) else { continue };
             let member_vals: Vec<f64> = p
                 .cells_of(gid)
                 .into_iter()

@@ -21,11 +21,11 @@
 
 use sr_core::{
     allocate_features_with, extract_cell_groups_with, partition_ifl_with, GroupFeatures, GroupRect,
-    IterationStrategy, Partition, RepartitionConfig, Repartitioner,
+    IterationStrategy, Partition, RepartitionConfig, Repartitioner, VariationHeap,
 };
 use sr_grid::{
-    adjacent_variations_with, local_loss, normalize_attributes, variation_between_typed, AggType,
-    Bounds, CellId, GridDataset, IflOptions,
+    local_loss, normalize_attributes, variation_between_typed, AggType, Bounds, CellId,
+    EdgeVariations, GridDataset, IflOptions,
 };
 use sr_par::Pool;
 
@@ -122,8 +122,7 @@ fn make_grid(seed: u64, rows: usize, cols: usize, p: usize, validity: Validity) 
 /// The grid/θ matrix every property runs over: varied shapes (including a
 /// 117-cell grid whose bitmap ends in a trailing partial word and a
 /// 128-cell grid that ends exactly on a word boundary), attribute counts
-/// with and without a monomorphized IFL kernel, and all validity edge
-/// cases.
+/// from 1 to 5, and all validity edge cases.
 fn corpus() -> Vec<(GridDataset, f64)> {
     vec![
         (make_grid(1, 12, 17, 4, Validity::Full), 0.02),
@@ -145,37 +144,11 @@ fn pools() -> Vec<Pool> {
 // Reference implementations (pre-SoA style: scalar accessors only)
 // ---------------------------------------------------------------------------
 
-/// Reference adjacent-pair scan: per-cell feature-vector gathers and
-/// Eq. 1 on the gathered vectors, in the documented serial order (row
-/// major; per valid cell the right pair, then the down pair).
-fn ref_adjacent_pairs(norm: &GridDataset) -> Vec<(CellId, CellId, f64)> {
-    let (rows, cols) = (norm.rows(), norm.cols());
-    let aggs = norm.agg_types();
-    let mut out = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            let id = (r * cols + c) as CellId;
-            let Some(fv) = norm.features(id) else { continue };
-            if c + 1 < cols {
-                if let Some(right) = norm.features(id + 1) {
-                    out.push((id, id + 1, variation_between_typed(&fv, &right, aggs)));
-                }
-            }
-            if r + 1 < rows {
-                let down = id + cols as CellId;
-                if let Some(below) = norm.features(down) {
-                    out.push((id, down, variation_between_typed(&fv, &below, aggs)));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Reference edge arrays for Algorithm 1: `h[r·cols + c]` is the edge to
-/// the right neighbor, `v[r·cols + c]` the edge below, with the null
-/// conventions of the production `EdgeVariations` (`-∞` null–null, `+∞`
-/// mixed or out of grid).
+/// Reference Eq. 1 edge arrays: per-cell feature-vector gathers and Eq. 1
+/// on the gathered vectors. `h[r·cols + c]` is the edge to the right
+/// neighbor, `v[r·cols + c]` the edge below, with the null conventions of
+/// the production `EdgeVariations` (`-∞` null–null, `+∞` mixed or out of
+/// grid).
 fn ref_edges(norm: &GridDataset) -> (Vec<f64>, Vec<f64>) {
     let (rows, cols) = (norm.rows(), norm.cols());
     let aggs = norm.agg_types();
@@ -352,6 +325,23 @@ fn ref_allocate(grid: &GridDataset, partition: &Partition) -> Vec<Option<Vec<f64
         .collect()
 }
 
+/// The reference feature table as the arena Eq. 3 reads: `features` rows
+/// (zeros for null groups) and valid-member counts recounted through the
+/// scalar accessors.
+fn ref_arena(
+    grid: &GridDataset,
+    partition: &Partition,
+    features: &[Option<Vec<f64>>],
+) -> GroupFeatures {
+    let p = grid.num_attrs();
+    let mut counts = vec![0u32; partition.num_groups()];
+    for id in grid.valid_cells() {
+        counts[partition.group_of(id) as usize] += 1;
+    }
+    let values = features.iter().flat_map(|f| f.clone().unwrap_or_else(|| vec![0.0; p])).collect();
+    GroupFeatures::from_parts(p, values, counts)
+}
+
 /// Reference Eq. 3: per-cell percentage-error terms against
 /// aggregation-aware representatives. Terms are formed exactly as the
 /// production kernel forms them (`|d − r| · (1/|d|)`, not a division) and
@@ -435,7 +425,7 @@ fn arena_rows(features: &GroupFeatures) -> Vec<Option<&[f64]>> {
     (0..features.num_groups()).map(|g| features.row(g)).collect()
 }
 
-/// The feature rows of the boxed per-group form.
+/// The feature rows of the reference's boxed per-group form.
 fn boxed_rows(features: &[Option<Vec<f64>>]) -> Vec<Option<&[f64]>> {
     features.iter().map(Option::as_deref).collect()
 }
@@ -463,18 +453,20 @@ fn assert_features_equal(a: &[Option<&[f64]>], b: &[Option<&[f64]>], ctx: &str) 
 fn variation_scan_matches_feature_gather_reference() {
     for (i, (grid, _)) in corpus().iter().enumerate() {
         let norm = normalize_attributes(grid);
-        let want = ref_adjacent_pairs(&norm);
+        let (want_h, want_v) = ref_edges(&norm);
         for pool in pools() {
-            let got = adjacent_variations_with(&norm, &pool);
-            assert_eq!(got.len(), want.len(), "grid {i}, {} threads: pair count", pool.threads());
-            for (j, (pair, &(a, b, var))) in got.iter().zip(&want).enumerate() {
-                assert_eq!((pair.a, pair.b), (a, b), "grid {i} pair {j}: endpoints");
-                assert_eq!(
-                    bits(pair.variation),
-                    bits(var),
-                    "grid {i} pair {j} ({a},{b}), {} threads: variation bits",
-                    pool.threads()
-                );
+            let got = EdgeVariations::build_with(&norm, &pool);
+            assert_eq!((got.rows(), got.cols()), (norm.rows(), norm.cols()), "grid {i}: shape");
+            for (axis, got, want) in [("h", got.h(), &want_h), ("v", got.v(), &want_v)] {
+                assert_eq!(got.len(), want.len(), "grid {i}: {axis} edge count");
+                for (j, (&g, &w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        bits(g),
+                        bits(w),
+                        "grid {i}, {} threads: {axis} edge {j} ({g} vs {w})",
+                        pool.threads()
+                    );
+                }
             }
         }
     }
@@ -505,10 +497,12 @@ fn allocation_matches_scalar_gather_reference() {
         let norm = normalize_attributes(grid);
         let partition = ref_extract(&norm, *theta);
         let want = ref_allocate(grid, &partition);
+        let want_counts = ref_arena(grid, &partition, &want);
         for pool in pools() {
             let got = allocate_features_with(grid, &partition, &pool);
             let ctx = format!("grid {i}, {} threads", pool.threads());
-            assert_features_equal(&boxed_rows(&got), &boxed_rows(&want), &ctx);
+            assert_features_equal(&arena_rows(&got), &boxed_rows(&want), &ctx);
+            assert_eq!(got.valid_counts(), want_counts.valid_counts(), "{ctx}: valid counts");
         }
     }
 }
@@ -521,8 +515,9 @@ fn ifl_matches_naive_eq3_reference() {
         let partition = ref_extract(&norm, *theta);
         let features = ref_allocate(grid, &partition);
         let want = ref_ifl(grid, &partition, &features, opts);
+        let arena = ref_arena(grid, &partition, &features);
         for pool in pools() {
-            let got = partition_ifl_with(grid, &partition, &features, opts, &pool);
+            let got = partition_ifl_with(grid, &partition, &arena, opts, &pool);
             assert_eq!(
                 bits(got),
                 bits(want),
@@ -642,17 +637,17 @@ fn validity_bitmap_edge_cases() {
         g.set_null(id as CellId);
     }
     let norm = normalize_attributes(&g);
-    assert!(adjacent_variations_with(&norm, &Pool::new(8)).is_empty());
+    assert!(VariationHeap::from_grid_with(&norm, &Pool::new(8)).is_empty());
     let part = ref_extract(&norm, 0.01);
     let feats = allocate_features_with(&g, &part, &Pool::new(2));
-    assert!(feats.iter().all(Option::is_none), "all groups null");
+    assert_eq!(feats.num_valid_groups(), 0, "all groups null");
     assert_eq!(partition_ifl_with(&g, &part, &feats, IflOptions::default(), &Pool::new(1)), 0.0);
 
     // Single valid cell: exactly one featured singleton group that keeps
     // its exact values, and zero loss.
     let g = make_grid(44, 8, 9, 4, Validity::SingleValid(29));
     let norm = normalize_attributes(&g);
-    assert!(adjacent_variations_with(&norm, &Pool::new(2)).is_empty());
+    assert!(VariationHeap::from_grid_with(&norm, &Pool::new(2)).is_empty());
     let out = Repartitioner::new(0.05).unwrap().run_with_pool(&g, &Pool::new(8)).unwrap();
     let rep = &out.repartitioned;
     assert_eq!(rep.num_valid_groups(), 1);

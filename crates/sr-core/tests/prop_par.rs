@@ -61,11 +61,13 @@ proptest! {
             let pn = extract_cell_groups_with(&norm, theta, &pool);
             prop_assert_eq!(&pn, &p1, "partition differs at {} threads", pool.threads());
             let fnn = allocate_features_with(&g, &pn, &pool);
-            prop_assert_eq!(fnn.len(), f1.len());
-            for (a, b) in fnn.iter().zip(&f1) {
+            prop_assert_eq!(fnn.num_groups(), f1.num_groups());
+            prop_assert_eq!(fnn.valid_counts(), f1.valid_counts());
+            for gid in 0..f1.num_groups() {
                 // Exact bit equality, not tolerance: parallel reduction must
                 // fold partials in the same order as the serial loop.
-                prop_assert_eq!(a, b);
+                let bits = |row: Option<&[f64]>| row.map(|r| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                prop_assert_eq!(bits(fnn.row(gid)), bits(f1.row(gid)));
             }
             let ifln = partition_ifl_with(&g, &pn, &fnn, IflOptions::default(), &pool);
             prop_assert_eq!(ifln.to_bits(), ifl1.to_bits(), "IFL bits differ");

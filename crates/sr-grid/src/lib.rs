@@ -11,7 +11,8 @@
 //!   into a grid, aggregating the records mapped to each cell.
 //! - [`normalize`]: attribute normalization to `[0, 1]` (the paper's worked
 //!   example divides by the per-attribute maximum).
-//! - [`variation`]: attribute variation between cells — Eq. (1).
+//! - [`variation`]: attribute variation between cells — Eq. (1) — and
+//!   [`EdgeVariations`], the per-edge scan every threshold reads.
 //! - [`loss`]: local loss of cell-groups — Eq. (2) — and information loss
 //!   (IFL, a mean-absolute-percentage error) — Eq. (3).
 //! - [`adjacency`]: rook adjacency lists with binary weights, plus the
@@ -40,10 +41,7 @@ pub use local_stats::{join_counts, local_morans_i, JoinCounts, LisaQuadrant, Lis
 pub use loss::{information_loss, local_loss, IflOptions};
 pub use normalize::normalize_attributes;
 pub use render::{render_heatmap, render_partition};
-pub use variation::{
-    adjacent_variation_values_with, adjacent_variations, adjacent_variations_with,
-    variation_between, variation_between_typed, AdjacentPair,
-};
+pub use variation::{variation_between, variation_between_typed, EdgeVariations};
 
 /// Errors produced by grid construction and grid-level computations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,15 +1,15 @@
 //! Attribute variation between cells — Eq. (1) of the paper — and the
-//! enumeration of adjacent-pair variations that feeds the min-adjacent
-//! variation heap (§III-A1).
+//! per-edge variation scan that feeds both the min-adjacent variation heap
+//! (§III-A1) and cell-group extraction (Algorithm 1).
 //!
-//! The adjacent scan is plane-wise over the SoA attribute planes: per grid
-//! row it accumulates the right/down difference sums for all columns with
-//! flat autovectorization-friendly loops, then emits pairs in the classic
-//! row-major scan order. Each pair's sum still receives its per-attribute
-//! terms in ascending-`k` order, so results are bit-identical to the old
-//! per-pair gather.
+//! The scan ([`EdgeVariations`]) is plane-wise over the SoA attribute
+//! planes: per grid row it accumulates the right/down difference sums for
+//! all columns with flat autovectorization-friendly loops. Each edge's sum
+//! receives its per-attribute terms in ascending-`k` order, so every edge
+//! is bit-identical to [`variation_between_typed`] on the gathered feature
+//! vectors.
 
-use crate::dataset::{AggType, CellId, GridDataset};
+use crate::dataset::{AggType, GridDataset};
 
 /// Variation between two feature vectors (Eq. 1): the mean absolute
 /// per-attribute difference,
@@ -48,171 +48,171 @@ pub fn variation_between_typed(a: &[f64], b: &[f64], agg_types: &[AggType]) -> f
     sum / p
 }
 
-/// One adjacent pair of valid cells and the variation between them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdjacentPair {
-    /// First cell (always the smaller id: the left/top cell of the pair).
-    pub a: CellId,
-    /// Second cell (right or bottom neighbor of `a`).
-    pub b: CellId,
-    /// Variation per Eq. (1), computed on the *normalized* grid by callers
-    /// that follow the paper's pipeline.
-    pub variation: f64,
-}
-
-/// Enumerates the variations between all rook-adjacent pairs of *valid*
-/// cells: for each cell, its right neighbor and its bottom neighbor (each
-/// undirected pair appears exactly once), in row-major scan order.
+/// Per-edge variations of a grid: Eq. 1 for every rook-adjacent cell pair,
+/// computed once and reused by every threshold the driver evaluates.
 ///
-/// Pairs where either cell is null are skipped — the paper merges null cells
-/// only with other null cells, which the extractor handles separately.
-///
-/// Runs on [`sr_par::Pool::global`]; output is bit-identical to a serial
-/// scan at any thread count (row bands are computed independently and
-/// concatenated in row order). Use [`adjacent_variations_with`] to target a
-/// specific pool.
-pub fn adjacent_variations(grid: &GridDataset) -> Vec<AdjacentPair> {
-    adjacent_variations_with(grid, sr_par::Pool::global())
-}
-
-/// [`adjacent_variations`] on an explicit [`sr_par::Pool`].
-pub fn adjacent_variations_with(grid: &GridDataset, pool: &sr_par::Pool) -> Vec<AdjacentPair> {
-    scan_rows(grid, pool, |a, b, variation, out| out.push(AdjacentPair { a, b, variation }))
-}
-
-/// The variation *values* of [`adjacent_variations_with`], in the same scan
-/// order, without materializing the pair endpoints. This is what the
-/// min-variation heap consumes — at 100k cells it skips ~4.6 MB of
-/// `AdjacentPair` traffic.
-pub fn adjacent_variation_values_with(grid: &GridDataset, pool: &sr_par::Pool) -> Vec<f64> {
-    scan_rows(grid, pool, |_, _, variation, out| out.push(variation))
-}
-
-/// Shared banded row scan: computes per-row variation sums plane-wise and
-/// emits each valid adjacent pair (right then down, column-ascending) via
-/// `emit`, preserving the serial row-major order at any thread count.
-fn scan_rows<T, F>(grid: &GridDataset, pool: &sr_par::Pool, emit: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(CellId, CellId, f64, &mut Vec<T>) + Sync,
-{
-    let rows = grid.rows();
-    let cols = grid.cols();
-    // Serial pools write one output directly — the banded path below pays
-    // for its parallelism with a concatenation copy.
-    if pool.threads() <= 1 {
-        let mut out = Vec::with_capacity(2 * rows * cols);
-        let mut scratch = RowScratch::new(cols);
-        for r in 0..rows {
-            push_row_variations(grid, r, &mut scratch, &emit, &mut out);
-        }
-        return out;
-    }
-    // Fixed row-band grain: band boundaries never depend on the thread
-    // count, so the concatenated output is always the serial scan order.
-    let bands = pool.par_map_chunks(rows, sr_par::fixed_grain(rows, 64), |band| {
-        let mut out = Vec::with_capacity(2 * band.len() * cols);
-        let mut scratch = RowScratch::new(cols);
-        for r in band {
-            push_row_variations(grid, r, &mut scratch, &emit, &mut out);
-        }
-        out
-    });
-    let mut out = Vec::with_capacity(bands.iter().map(Vec::len).sum());
-    for band in bands {
-        out.extend(band);
-    }
-    out
-}
-
-/// Per-band scratch: right/down difference sums for one row's columns.
-struct RowScratch {
+/// Encoding: `h[r·cols + c]` is the variation between `(r,c)` and
+/// `(r,c+1)`; `v[r·cols + c]` between `(r,c)` and `(r+1,c)`. Null–null
+/// edges store `-∞` (always compatible — null cells merge only with null
+/// cells, §III-A2), valid–null edges and out-of-grid edges store `+∞`
+/// (never compatible), so compatibility at threshold `θ` is exactly
+/// `edge ≤ θ + slack`, and the finite edges are exactly the valid–valid
+/// adjacent pairs the min-adjacent variation heap is built from.
+#[derive(Debug, Clone)]
+pub struct EdgeVariations {
+    rows: usize,
+    cols: usize,
     h: Vec<f64>,
     v: Vec<f64>,
 }
 
-impl RowScratch {
-    fn new(cols: usize) -> Self {
-        RowScratch { h: vec![0.0; cols], v: vec![0.0; cols] }
+impl EdgeVariations {
+    /// Computes the edge variations of `grid` on [`sr_par::Pool::global`].
+    /// Callers following the paper's pipeline pass the *normalized* grid.
+    pub fn build(grid: &GridDataset) -> Self {
+        Self::build_with(grid, sr_par::Pool::global())
     }
-}
 
-/// Emits the right/down adjacent pairs anchored in row `r`, in column
-/// order — the serial scan order within one row.
-///
-/// The difference sums are accumulated attribute-plane by attribute-plane
-/// (flat loops over the row slices), so each pair's accumulator receives
-/// its terms in ascending-`k` order — the same floating-point order as a
-/// per-pair feature-vector walk.
-fn push_row_variations<T, F>(
-    grid: &GridDataset,
-    r: usize,
-    scratch: &mut RowScratch,
-    emit: &F,
-    out: &mut Vec<T>,
-) where
-    F: Fn(CellId, CellId, f64, &mut Vec<T>),
-{
-    let rows = grid.rows();
-    let cols = grid.cols();
-    let base = r * cols;
-    let has_below = r + 1 < rows;
-    let h = &mut scratch.h[..];
-    let v = &mut scratch.v[..];
-    h.fill(0.0);
-    if has_below {
-        v.fill(0.0);
-    }
-    for (k, agg) in grid.agg_types().iter().enumerate() {
-        let plane = grid.attr_plane(k);
-        let row = &plane[base..base + cols];
-        match agg {
-            AggType::Mode => {
-                for c in 0..cols - 1 {
-                    h[c] += if row[c] == row[c + 1] { 0.0 } else { 1.0 };
-                }
+    /// [`EdgeVariations::build`] on an explicit pool. Row bands are
+    /// computed independently, so the result is identical at any thread
+    /// count.
+    ///
+    /// The raw difference sums are accumulated attribute-plane by
+    /// attribute-plane with flat loops over row slices (each edge's sum
+    /// receives its terms in ascending-`k` order — the same floating-point
+    /// order as a per-edge feature-vector walk), then a finalize pass
+    /// divides by `p` and patches validity: null–null edges become `-∞`,
+    /// mixed and out-of-grid edges `+∞`.
+    pub fn build_with(grid: &GridDataset, pool: &sr_par::Pool) -> Self {
+        let rows = grid.rows();
+        let cols = grid.cols();
+        let aggs = grid.agg_types();
+        let pf = grid.num_attrs() as f64;
+        let valid = grid.valid_mask();
+        let fill_band = |band: std::ops::Range<usize>, h: &mut [f64], v: &mut [f64]| {
+            let b0 = band.start;
+            for r in band {
+                let br = r - b0;
+                let base = r * cols;
+                let has_below = r + 1 < rows;
+                let hrow = &mut h[br * cols..(br + 1) * cols];
+                let vrow = &mut v[br * cols..(br + 1) * cols];
+                hrow[..cols - 1].fill(0.0);
                 if has_below {
-                    let below = &plane[base + cols..base + 2 * cols];
-                    for c in 0..cols {
-                        v[c] += if row[c] == below[c] { 0.0 } else { 1.0 };
+                    vrow.fill(0.0);
+                }
+                for (k, agg) in aggs.iter().enumerate() {
+                    let plane = grid.attr_plane(k);
+                    let row = &plane[base..base + cols];
+                    match agg {
+                        AggType::Mode => {
+                            for c in 0..cols - 1 {
+                                hrow[c] += if row[c] == row[c + 1] { 0.0 } else { 1.0 };
+                            }
+                            if has_below {
+                                let below = &plane[base + cols..base + 2 * cols];
+                                for c in 0..cols {
+                                    vrow[c] += if row[c] == below[c] { 0.0 } else { 1.0 };
+                                }
+                            }
+                        }
+                        _ => {
+                            for c in 0..cols - 1 {
+                                hrow[c] += (row[c] - row[c + 1]).abs();
+                            }
+                            if has_below {
+                                let below = &plane[base + cols..base + 2 * cols];
+                                for c in 0..cols {
+                                    vrow[c] += (row[c] - below[c]).abs();
+                                }
+                            }
+                        }
                     }
                 }
-            }
-            _ => {
                 for c in 0..cols - 1 {
-                    h[c] += (row[c] - row[c + 1]).abs();
+                    let (a, b) = (valid[base + c], valid[base + c + 1]);
+                    hrow[c] = if a && b {
+                        hrow[c] / pf
+                    } else if !a && !b {
+                        f64::NEG_INFINITY
+                    } else {
+                        f64::INFINITY
+                    };
                 }
+                hrow[cols - 1] = f64::INFINITY;
                 if has_below {
-                    let below = &plane[base + cols..base + 2 * cols];
                     for c in 0..cols {
-                        v[c] += (row[c] - below[c]).abs();
+                        let (a, b) = (valid[base + c], valid[base + cols + c]);
+                        vrow[c] = if a && b {
+                            vrow[c] / pf
+                        } else if !a && !b {
+                            f64::NEG_INFINITY
+                        } else {
+                            f64::INFINITY
+                        };
                     }
+                } else {
+                    vrow.fill(f64::INFINITY);
                 }
             }
+        };
+        // Serial pools fill the full arrays in place; the banded path pays
+        // for its parallelism with a concatenation copy.
+        if pool.threads() <= 1 {
+            let mut h = vec![0.0; rows * cols];
+            let mut v = vec![0.0; rows * cols];
+            fill_band(0..rows, &mut h, &mut v);
+            return EdgeVariations { rows, cols, h, v };
         }
+        // Fixed row-band grain: band boundaries never depend on the thread
+        // count, so the concatenated arrays are always the serial ones.
+        let bands = pool.par_map_chunks(rows, sr_par::fixed_grain(rows, 64), |band| {
+            let mut h = vec![0.0; band.len() * cols];
+            let mut v = vec![0.0; band.len() * cols];
+            fill_band(band, &mut h, &mut v);
+            (h, v)
+        });
+        let mut h = Vec::with_capacity(rows * cols);
+        let mut v = Vec::with_capacity(rows * cols);
+        for (bh, bv) in bands {
+            h.extend(bh);
+            v.extend(bv);
+        }
+        EdgeVariations { rows, cols, h, v }
     }
-    let p = grid.num_attrs() as f64;
-    for c in 0..cols {
-        let id = (base + c) as CellId;
-        if !grid.is_valid(id) {
-            continue;
-        }
-        if c + 1 < cols && grid.is_valid(id + 1) {
-            emit(id, id + 1, h[c] / p, out);
-        }
-        if has_below {
-            let down = id + cols as CellId;
-            if grid.is_valid(down) {
-                emit(id, down, v[c] / p, out);
-            }
-        }
+
+    /// Grid height this was built from.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Grid width this was built from.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Right-neighbor edges, `h[r·cols + c]` (`+∞` in the last column).
+    pub fn h(&self) -> &[f64] {
+        &self.h
+    }
+
+    /// Down-neighbor edges, `v[r·cols + c]` (`+∞` in the last row).
+    pub fn v(&self) -> &[f64] {
+        &self.v
+    }
+
+    /// Both edge arrays, writable, for callers that patch single edges
+    /// after cell updates. A patched edge must follow the conventions
+    /// above and equal what [`EdgeVariations::build_with`] computes for it.
+    pub fn edges_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        (&mut self.h, &mut self.v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{AggType, Bounds};
+    use crate::dataset::Bounds;
 
     #[test]
     fn variation_matches_eq1() {
@@ -231,32 +231,30 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_pairs_counted_once() {
-        // 2×2 fully valid grid: 2 horizontal + 2 vertical pairs = 4.
-        let g = GridDataset::univariate(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let pairs = adjacent_variations(&g);
-        assert_eq!(pairs.len(), 4);
-        // Every pair stored with a < b and appears once.
-        let mut seen = std::collections::HashSet::new();
-        for p in &pairs {
-            assert!(p.a < p.b);
-            assert!(seen.insert((p.a, p.b)));
-        }
-    }
-
-    #[test]
-    fn null_cells_excluded_from_pairs() {
-        let mut g = GridDataset::univariate(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+    fn edges_follow_the_null_and_border_conventions() {
+        // 2×3 grid, cells 0 and 1 null:
+        //   [null, null, 3]
+        //   [4,    5,    6]
+        let mut g = GridDataset::univariate(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         g.set_null(0);
-        let pairs = adjacent_variations(&g);
-        // Only pairs among cells 1,2,3: (1,3) and (2,3).
-        assert_eq!(pairs.len(), 2);
-        assert!(pairs.iter().all(|p| p.a != 0 && p.b != 0));
+        g.set_null(1);
+        let e = EdgeVariations::build(&g);
+        let inf = f64::INFINITY;
+        // Null–null is always compatible, null–valid never, and the last
+        // column has no right neighbor.
+        assert_eq!(e.h(), &[f64::NEG_INFINITY, inf, inf, 1.0, 1.0, inf][..]);
+        // The last row has no neighbor below.
+        assert_eq!(e.v(), &[inf, inf, 3.0, inf, inf, inf][..]);
+        // The finite edges are exactly the valid–valid pairs, each once:
+        // (3,4), (4,5) and (2,5).
+        let finite = e.h().iter().chain(e.v()).filter(|x| x.is_finite()).count();
+        assert_eq!(finite, 3);
+        assert_eq!((e.rows(), e.cols()), (2, 3));
     }
 
     #[test]
-    fn multivariate_variation_uses_all_attrs() {
-        let g = crate::GridDataset::new(
+    fn multivariate_edge_is_the_attribute_mean() {
+        let g = GridDataset::new(
             1,
             2,
             2,
@@ -268,15 +266,16 @@ mod tests {
             Bounds::unit(),
         )
         .unwrap();
-        let pairs = adjacent_variations(&g);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].variation, 2.0); // (1 + 3) / 2
+        let e = EdgeVariations::build(&g);
+        assert_eq!(e.h()[0], 2.0); // (1 + 3) / 2
+        assert!(e.h()[1..].iter().chain(e.v()).all(|x| x.is_infinite()));
     }
 
     #[test]
     fn plane_scan_matches_per_pair_gather() {
         // Mixed schema with a Mode attribute and null holes: the plane-wise
-        // scan must reproduce variation_between_typed pair by pair.
+        // scan must reproduce variation_between_typed pair by pair, at any
+        // thread count.
         let rows = 5;
         let cols = 7;
         let p = 3;
@@ -303,19 +302,25 @@ mod tests {
             Bounds::unit(),
         )
         .unwrap();
-        let pairs = adjacent_variations(&g);
-        assert!(!pairs.is_empty());
-        for pr in &pairs {
-            let fa = g.features(pr.a).unwrap();
-            let fb = g.features(pr.b).unwrap();
-            let expect = variation_between_typed(&fa, &fb, g.agg_types());
-            assert_eq!(pr.variation.to_bits(), expect.to_bits());
-        }
-        // Values-only scan agrees element-for-element with the pair scan.
-        let vals = adjacent_variation_values_with(&g, sr_par::Pool::global());
-        assert_eq!(vals.len(), pairs.len());
-        for (v, pr) in vals.iter().zip(&pairs) {
-            assert_eq!(v.to_bits(), pr.variation.to_bits());
+        let expect = |a: usize, b: usize| match (g.features(a as u32), g.features(b as u32)) {
+            (Some(fa), Some(fb)) => variation_between_typed(&fa, &fb, g.agg_types()),
+            (None, None) => f64::NEG_INFINITY,
+            _ => f64::INFINITY,
+        };
+        for threads in [1, 4] {
+            let e = EdgeVariations::build_with(&g, &sr_par::Pool::new(threads));
+            let mut finite = 0;
+            for r in 0..rows {
+                for c in 0..cols {
+                    let i = r * cols + c;
+                    let h = if c + 1 < cols { expect(i, i + 1) } else { f64::INFINITY };
+                    let v = if r + 1 < rows { expect(i, i + cols) } else { f64::INFINITY };
+                    assert_eq!(e.h()[i].to_bits(), h.to_bits(), "h edge of ({r},{c})");
+                    assert_eq!(e.v()[i].to_bits(), v.to_bits(), "v edge of ({r},{c})");
+                    finite += usize::from(h.is_finite()) + usize::from(v.is_finite());
+                }
+            }
+            assert!(finite > 0);
         }
     }
 }
