@@ -93,6 +93,19 @@ SR_THREADS=1 cargo test -q --offline -p sr-core --test prop_bit_identity
 echo "==> kernel bit identity (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline -p sr-core --test prop_bit_identity
 
+# The §VI extension suite (crates/sr-core/tests/prop_extensions.rs): the
+# streaming and quadtree tiers share Eq. 1 and Eq. 3 with the driver —
+# sr-grid's edge scan, and its Eq. 3 term rule and per-cell subtotal — so
+# the streaming tier's maintained IFL equals Eq. 3 recomputed through
+# information_loss after every update, on mixed numeric/categorical
+# schemas with nulls, and the budget holds through updates. Runs inside the
+# workspace passes too; pinned here at both thread counts.
+echo "==> extension tiers (SR_THREADS=1)"
+SR_THREADS=1 cargo test -q --offline -p sr-core --test prop_extensions
+
+echo "==> extension tiers (SR_THREADS=4)"
+SR_THREADS=4 cargo test -q --offline -p sr-core --test prop_extensions
+
 # The localized re-partitioning contract (docs/INGESTION.md, "The
 # localized walk"): run_localized over any dirty sequence is bit-identical
 # to the batch driver's hinted walk on the same inputs, at every thread

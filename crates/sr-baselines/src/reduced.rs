@@ -1,6 +1,8 @@
 //! The common output shape of every reduction baseline.
 
-use sr_grid::{AdjacencyList, AggType, CellId, GridDataset, IflOptions};
+use sr_grid::{
+    information_loss, representative, AdjacencyList, AggType, CellId, GridDataset, IflOptions,
+};
 
 /// A reduced dataset: one row of training data per unit (sample, region, or
 /// cluster), plus the structures the spatial models and the evaluation
@@ -57,26 +59,24 @@ impl ReducedDataset {
         (xs, ys)
     }
 
-    /// Information loss (Eq. 3) of this reduction w.r.t. the original grid,
-    /// using the same aggregation-aware representative convention as the
-    /// core framework. Lets experiments compare baseline loss against the
-    /// re-partitioner's.
+    /// Information loss (Eq. 3) of this reduction w.r.t. the original grid:
+    /// [`sr_grid::information_loss`] over a copy of the grid in which every
+    /// valid cell carries its unit's [`representative`] by `agg_counts`
+    /// (0.0 where no unit represents it), the core framework's convention.
+    /// Lets experiments compare baseline loss against the re-partitioner's.
     pub fn information_loss(&self, grid: &GridDataset) -> f64 {
         let aggs = grid.agg_types();
-        sr_grid::loss::information_loss_with(
-            grid,
-            |cell, k| {
-                let Some(unit) = self.cell_to_unit[cell as usize] else {
-                    return 0.0;
-                };
-                let v = self.features[unit as usize][k];
-                match aggs[k] {
-                    AggType::Sum => v / self.agg_counts[unit as usize] as f64,
-                    AggType::Avg | AggType::Mode => v,
-                }
-            },
-            IflOptions::default(),
-        )
+        let mut reconstructed = grid.clone();
+        for id in grid.valid_cells() {
+            let unit = self.cell_to_unit[id as usize].map(|u| u as usize);
+            for (k, &agg) in aggs.iter().enumerate() {
+                let rep = unit
+                    .map_or(0.0, |u| representative(self.features[u][k], agg, self.agg_counts[u]));
+                reconstructed.set_value(id, k, rep);
+            }
+        }
+        information_loss(grid, &reconstructed, IflOptions::default())
+            .expect("a copy has the grid's shape")
     }
 }
 

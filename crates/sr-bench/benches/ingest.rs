@@ -264,7 +264,7 @@ fn main() {
                             grid.set_value(id, 0, v);
                         }
                         let dirty_ids: Vec<CellId> = delta.iter().map(|&(id, _)| id).collect();
-                        scan.update(&grid, &dirty_ids);
+                        scan.update(&grid, &dirty_ids).unwrap();
                         let start = std::time::Instant::now();
                         let out = driver
                             .run_localized(&grid, &scan, &mut state, &dirty_ids, pool)

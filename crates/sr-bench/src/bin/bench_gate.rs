@@ -152,7 +152,7 @@ fn main() {
         for &(id, v) in &writes {
             igrid.set_value(id, 0, v);
         }
-        scan.update(&igrid, &dirty);
+        scan.update(&igrid, &dirty).unwrap();
         let out = drv.run_localized(&igrid, &scan, &mut state, &dirty, pool).unwrap();
         incr_ms = incr_ms.min(t.elapsed().as_secs_f64() * 1e3);
         last = Some((hint, out));

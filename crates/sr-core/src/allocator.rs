@@ -56,8 +56,8 @@ fn count_valid_range(words: &[u64], start: usize, len: usize) -> usize {
 /// allocation. This is the one form group features take: Algorithm 2
 /// ([`allocate_features`]) returns it, Eq. 3 ([`crate::partition_ifl`])
 /// and reconstruction read it, [`crate::Repartitioned::features`] holds
-/// the driver's winner in it, and the serving layer copies its table into
-/// snapshots.
+/// the driver's winner in it, the streaming tier keeps a copy of that
+/// winner current, and the serving layer copies its table into snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupFeatures {
     p: usize,
@@ -129,6 +129,22 @@ impl GroupFeatures {
     /// Valid-member count per group (0 marks a null group).
     pub fn valid_counts(&self) -> &[u32] {
         &self.valid_counts
+    }
+
+    /// Makes group `g` a single-member group holding `row`, or a null
+    /// group for `None`; `g == num_groups()` appends it. The streaming
+    /// tier splits groups into singletons through this.
+    pub(crate) fn set_single(&mut self, g: usize, row: Option<&[f64]>) {
+        if g == self.num_groups() {
+            self.values.resize(self.values.len() + self.p, 0.0);
+            self.valid_counts.push(0);
+        }
+        let slot = &mut self.values[g * self.p..(g + 1) * self.p];
+        match row {
+            Some(fv) => slot.copy_from_slice(fv),
+            None => slot.fill(0.0),
+        }
+        self.valid_counts[g] = u32::from(row.is_some());
     }
 }
 

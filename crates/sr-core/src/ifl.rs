@@ -5,34 +5,25 @@
 //! aware (exactly as §III-A4 and §III-C describe): a `Sum`-typed group value
 //! is divided back by the group's member count, while an `Avg`-typed group
 //! value applies to each member directly.
+//!
+//! The term rule, the per-cell subtotal and the chunked fold are sr-grid's
+//! ([`sr_grid::loss`]), shared with [`sr_grid::information_loss`] and the
+//! streaming tier. This module holds what the driver adds on top: the
+//! per-run cache of term rows and [`partition_ifl`] over it.
 
 use crate::allocator::GroupFeatures;
 use crate::partition::Partition;
-use sr_grid::{AggType, CellId, GridDataset, IflOptions};
-
-/// Representative value of a cell inside a group, given the group's
-/// allocated value for one attribute and the group's valid-member count
-/// (§III-C): `Sum`-typed values are divided back by the member count,
-/// `Avg`/`Mode` values apply to each member directly.
-///
-/// Public so downstream consumers (the serving layer, reconstruction) can
-/// answer per-cell queries without materializing a full grid.
-#[inline]
-pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
-    match agg {
-        AggType::Sum => group_value / members as f64,
-        AggType::Avg | AggType::Mode => group_value,
-    }
-}
+use sr_grid::loss::{cell_subtotal, fold_cell_terms, term_inverse};
+use sr_grid::{representative, AggType, CellId, GridDataset, IflOptions};
 
 /// Computes the IFL (Eq. 3) between `original` and the re-partitioned
 /// dataset described by (`partition`, `group_features`). Null groups
 /// contain no valid cells and thus never contribute terms.
 ///
 /// Representatives are pre-computed once per (group, attribute) instead of
-/// per (cell, attribute), and the per-cell term sum runs on
-/// [`sr_par::Pool::global`] in fixed-grain chunks whose partials fold in
-/// chunk order — bit-identical at any thread count.
+/// per (cell, attribute), and the per-cell subtotals are computed and
+/// folded on [`sr_par::Pool::global`] by [`fold_cell_terms`], in its
+/// fixed-grain chunks — bit-identical at any thread count.
 pub fn partition_ifl(
     original: &GridDataset,
     partition: &Partition,
@@ -53,23 +44,20 @@ pub fn partition_ifl_with(
     debug_assert_eq!(group_features.num_groups(), partition.num_groups());
     let p = original.num_attrs();
     let aggs = original.agg_types();
+    let has_mode = aggs.contains(&AggType::Mode);
     let n_groups = partition.num_groups();
     // Null groups keep 0.0 rows — they own no valid cell, so the cell walk
-    // never reads them.
+    // never reads them. A group with exactly one valid member represents
+    // that cell by its own value — every aggregation reduces to the
+    // identity on a single value, and Sum divides back by 1 — so all of its
+    // Eq. 3 terms are exact zeros: its cells store a `+0.0` subtotal, which
+    // the fold adds as a bitwise no-op.
     let mut reps = vec![0.0f64; n_groups * p];
-    let mut skip = vec![0u64; n_groups.div_ceil(64)];
+    let mut exact = vec![false; n_groups];
     for g in 0..n_groups {
         if let Some(fv) = group_features.row(g) {
             let members = group_features.valid_count(g);
-            // A group with exactly one valid member represents that cell
-            // by its own value — every aggregation reduces to the identity
-            // on a single value, and Sum divides back by 1 — so all of its
-            // Eq. 3 terms are exact zeros and the cell can be skipped
-            // without changing a single bit of the sum.
-            if members == 1 {
-                skip[g >> 6] |= 1u64 << (g & 63);
-                continue;
-            }
+            exact[g] = members == 1;
             for k in 0..p {
                 reps[g * p + k] = representative(fv[k], aggs[k], members);
             }
@@ -77,28 +65,27 @@ pub fn partition_ifl_with(
     }
     let cells: Vec<CellId> = original.valid_cells().collect();
     let cache = IflCellCache::build(original, &cells, opts);
-    ifl_over_cells(original, partition, &reps, &skip, &cells, &cache, pool)
+    fold_cell_terms(cells.len(), cache.terms, pool, |pos| {
+        let g = partition.group_of(cells[pos]) as usize;
+        if exact[g] {
+            0.0
+        } else {
+            cache.cell_subtotal(pos, &reps[g * p..g * p + p], aggs, has_mode)
+        }
+    })
 }
 
-/// Tests the skip bit of group `g`.
-#[inline]
-fn skip_bit(skip: &[u64], g: usize) -> bool {
-    (skip[g >> 6] >> (g & 63)) & 1 != 0
-}
-
-/// Per-run cache of the partition-independent parts of Eq. 3: the inverse
-/// denominator of every (cell, attribute) term — 0.0 for skipped
-/// zero-denominator terms, unused for `Mode` attributes — and the fixed
-/// term count. The driver evaluates the IFL dozens of times per run; the
+/// Per-run cache of the partition-independent parts of Eq. 3: every listed
+/// cell's values and [`term_inverse`]s, and the count of terms the rule
+/// keeps. The driver evaluates the IFL dozens of times per run; the
 /// denominators and the averaging count never change between evaluations.
 #[derive(Debug, Clone)]
 pub(crate) struct IflCellCache {
     /// One `2p`-wide row per listed cell: the cell's `p` attribute values
-    /// followed by its `p` inverse denominators (`1 / |d(k)|`, or 0.0 when
-    /// the term is skipped because `|d(k)| ≤ zero_eps`; never read for
-    /// `Mode` attributes). Values and inverses of a cell share a row so the
-    /// kernel touches one contiguous span per cell — at `p = 4` exactly one
-    /// cache line — instead of two grid-sized buffers.
+    /// followed by their `p` inverse denominators (0.0 for skipped terms,
+    /// unread for `Mode` attributes). Values and inverses of a cell share a
+    /// row so the kernel touches one contiguous span per cell — at `p = 4`
+    /// exactly one cache line — instead of two grid-sized buffers.
     data: Vec<f64>,
     /// Total contributing terms (Eq. 3's averaging denominator).
     terms: usize,
@@ -112,8 +99,8 @@ impl IflCellCache {
         // Single cell-outer pass: each iteration reads one slot from every
         // plane (p near-sequential read streams over ascending cell ids)
         // and fills one contiguous `2p` row — values then inverse
-        // denominators — so the 13 MB arena is written exactly once,
-        // instead of 2p strided sweeps.
+        // denominators — so the arena is written exactly once, instead of
+        // 2p strided sweeps.
         let mut data = vec![0.0f64; cells.len() * stride];
         let planes: Vec<&[f64]> = (0..p).map(|k| original.attr_plane(k)).collect();
         let mut terms = 0usize;
@@ -122,19 +109,10 @@ impl IflCellCache {
             for k in 0..p {
                 let v = planes[k][id as usize];
                 row[k] = v;
-                if aggs[k] == AggType::Mode {
-                    // Categorical terms always contribute (as mismatch
-                    // indicators); the inverse slot is never read.
-                    terms += 1;
-                    continue;
-                }
-                let denom = v.abs();
-                if denom > opts.zero_eps {
-                    row[p + k] = 1.0 / denom;
+                if let Some(inv) = term_inverse(v, aggs[k], opts) {
+                    row[p + k] = inv;
                     terms += 1;
                 }
-                // else: percentage error undefined at zero; the slot stays
-                // 0.0 and the averaging denominator shrinks.
             }
         }
         IflCellCache { data, terms }
@@ -142,11 +120,10 @@ impl IflCellCache {
 
     /// Recomputes the row of the cell at position `pos` of the cell list
     /// this cache was built over (which must still map `pos` to `id`),
-    /// after `id`'s attribute values changed in `original`. Adjusts the
-    /// cached term count by the row's before/after delta, so the result is
-    /// bit-identical to a fresh [`IflCellCache::build`] over the updated
-    /// grid — rows are built independently, and term counting is exactly
-    /// the build-time rule re-applied to one row.
+    /// after `id`'s attribute values changed in `original`. The term count
+    /// moves by the rule applied to the old row and to the new values, so
+    /// the result is bit-identical to a fresh [`IflCellCache::build`] over
+    /// the updated grid.
     pub(crate) fn update_row(
         &mut self,
         original: &GridDataset,
@@ -156,30 +133,15 @@ impl IflCellCache {
     ) {
         let p = original.num_attrs();
         let aggs = original.agg_types();
-        let stride = 2 * p;
-        let row = &mut self.data[pos * stride..(pos + 1) * stride];
-        let mut old_terms = 0usize;
-        let mut new_terms = 0usize;
+        let row = &mut self.data[pos * 2 * p..(pos + 1) * 2 * p];
+        let (mut old_terms, mut new_terms) = (0usize, 0usize);
         for k in 0..p {
-            if aggs[k] == AggType::Mode {
-                // Mode terms always count and never read the inverse slot;
-                // the before/after delta for them is zero by construction.
-                old_terms += 1;
-                new_terms += 1;
-                row[k] = original.value(id, k);
-                continue;
-            }
-            if row[p + k] != 0.0 {
-                old_terms += 1;
-            }
+            old_terms += usize::from(term_inverse(row[k], aggs[k], opts).is_some());
             let v = original.value(id, k);
+            let inv = term_inverse(v, aggs[k], opts);
+            new_terms += usize::from(inv.is_some());
             row[k] = v;
-            row[p + k] = 0.0;
-            let denom = v.abs();
-            if denom > opts.zero_eps {
-                row[p + k] = 1.0 / denom;
-                new_terms += 1;
-            }
+            row[p + k] = inv.unwrap_or(0.0);
         }
         self.terms = self.terms + new_terms - old_terms;
     }
@@ -188,106 +150,23 @@ impl IflCellCache {
     pub(crate) fn terms(&self) -> usize {
         self.terms
     }
-}
 
-/// The Eq. 3 sum over the listed cells: per-cell subtotals
-/// ([`cell_term_at`]) against the pre-computed representatives, summed in
-/// fixed-grain chunks whose partials fold in chunk order (bit-identical at
-/// any thread count).
-///
-/// Each cell's `p` terms are first folded into a per-cell subtotal, and the
-/// subtotals are then added to the chunk partial in ascending cell order.
-/// This two-level grouping is the canonical association of the Eq. 3 sum:
-/// the threshold walk caches exactly these per-cell subtotals and re-folds
-/// them in the same order ([`fold_cell_terms`]), so both produce identical
-/// bits. Cells whose group is flagged in `skip` (single-valid-member
-/// groups) contribute only exact-zero terms and are skipped wholesale.
-fn ifl_over_cells(
-    original: &GridDataset,
-    partition: &Partition,
-    reps: &[f64],
-    skip: &[u64],
-    cells: &[CellId],
-    cache: &IflCellCache,
-    pool: &sr_par::Pool,
-) -> f64 {
-    let p = original.num_attrs();
-    let aggs = original.agg_types();
-    let has_mode = aggs.contains(&AggType::Mode);
-    let partials =
-        pool.par_map_chunks(cells.len(), sr_par::fixed_grain(cells.len(), 64), |range| {
-            let mut sum = 0.0f64;
-            for pos in range {
-                let g = partition.group_of(cells[pos]) as usize;
-                if !skip_bit(skip, g) {
-                    sum += cell_term_at(cache, pos, &reps[g * p..g * p + p], aggs, has_mode, p);
-                }
-            }
-            sum
-        });
-
-    if cache.terms == 0 {
-        return 0.0;
+    /// The Eq. 3 subtotal ([`cell_subtotal`]) of the cell at list position
+    /// `pos` against a representative row. [`partition_ifl`] folds exactly
+    /// these subtotals, so a cached subtotal can replace a live evaluation
+    /// bit for bit.
+    #[inline]
+    pub(crate) fn cell_subtotal(
+        &self,
+        pos: usize,
+        rep: &[f64],
+        aggs: &[AggType],
+        has_mode: bool,
+    ) -> f64 {
+        let p = rep.len();
+        let row = &self.data[pos * 2 * p..(pos + 1) * 2 * p];
+        cell_subtotal(&row[..p], &row[p..], rep, aggs, has_mode)
     }
-    partials.iter().sum::<f64>() / cache.terms as f64
-}
-
-/// The per-cell Eq. 3 subtotal at cell-list position `pos` against a
-/// representative row: the cell's `p` terms added in ascending attribute
-/// order. Skipped terms carry a 0.0 inverse denominator; adding
-/// `|d − r| · 0.0 = 0.0` to a non-negative subtotal leaves it unchanged,
-/// so no per-term branch is needed. [`partition_ifl`] sums exactly these
-/// subtotals, so a cached subtotal can replace a live evaluation bit for
-/// bit.
-#[inline]
-pub(crate) fn cell_term_at(
-    cache: &IflCellCache,
-    pos: usize,
-    rep_row: &[f64],
-    aggs: &[AggType],
-    has_mode: bool,
-    p: usize,
-) -> f64 {
-    let row = pos * 2 * p;
-    let d = &cache.data[row..row + p];
-    let inv = &cache.data[row + p..row + 2 * p];
-    let mut t = 0.0f64;
-    if has_mode {
-        for k in 0..p {
-            if aggs[k] == AggType::Mode {
-                t += if d[k] == rep_row[k] { 0.0 } else { 1.0 };
-            } else {
-                t += (d[k] - rep_row[k]).abs() * inv[k];
-            }
-        }
-    } else {
-        for k in 0..p {
-            t += (d[k] - rep_row[k]).abs() * inv[k];
-        }
-    }
-    t
-}
-
-/// Folds a dense array of per-cell subtotals (one slot per listed valid
-/// cell, `+0.0` for skipped cells) into the Eq. 3 average, using the same
-/// fixed-grain chunking and chunk-order partial fold as [`ifl_over_cells`].
-///
-/// Adding a `+0.0` subtotal to a non-negative partial is a bitwise no-op,
-/// so the result is identical to [`partition_ifl`], which skips those
-/// cells outright.
-pub(crate) fn fold_cell_terms(terms: &[f64], term_count: usize, pool: &sr_par::Pool) -> f64 {
-    let partials =
-        pool.par_map_chunks(terms.len(), sr_par::fixed_grain(terms.len(), 64), |range| {
-            let mut sum = 0.0f64;
-            for &t in &terms[range] {
-                sum += t;
-            }
-            sum
-        });
-    if term_count == 0 {
-        return 0.0;
-    }
-    partials.iter().sum::<f64>() / term_count as f64
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //! [`ScanCache`] holds these four inputs and keeps them **bit-identical**
 //! to what a from-scratch run would compute on the updated grid:
 //!
-//! - Every recomputed edge replays the exact floating-point sequence of
-//!   [`EdgeVariations::build_with`] (ascending-attribute accumulation on
-//!   normalized values, one divide by `p`, validity patching), with
-//!   normalization applied on the fly (`x / m` is the same operation
-//!   whether the quotient is stored in a normalized plane or not).
+//! - Edges incident to dirty cells are re-evaluated by
+//!   [`EdgeVariations::patch_cells`], which computes each with Eq. 1's
+//!   scalar form — the function the scan equals bit for bit — on the two
+//!   cells' values normalized on the fly; the cache keeps only the
+//!   multiset delta.
 //! - The variation heap's value multiset *is* the finite edge values:
 //!   [`VariationHeap::from_grid_with`] collects its keys from the same
 //!   [`EdgeVariations`] scan (a finite edge is a valid–valid adjacent
@@ -47,7 +47,8 @@
 
 use crate::heap::{finite_edges, push_distinct, sort_key, DEFAULT_DEDUP_EPS};
 use crate::ifl::IflCellCache;
-use sr_grid::{normalize_attributes, AggType, CellId, EdgeVariations, GridDataset, IflOptions};
+use crate::{CoreError, Result};
+use sr_grid::{normalize_attributes, CellId, EdgeVariations, GridDataset, GridError, IflOptions};
 
 /// Report of one [`ScanCache::update`] call — how much work the patch
 /// actually did, for telemetry and for tests that pin the fast path.
@@ -127,8 +128,9 @@ impl ScanCache {
     /// and/or validity), on [`sr_par::Pool::global`]. `grid` must already
     /// hold the new state; `dirty` may contain duplicates and need not be
     /// sorted, but must cover every changed cell — a missed cell silently
-    /// desynchronizes the cache.
-    pub fn update(&mut self, grid: &GridDataset, dirty: &[CellId]) -> ScanUpdate {
+    /// desynchronizes the cache. An id outside the grid is an error, and
+    /// the cache is left untouched.
+    pub fn update(&mut self, grid: &GridDataset, dirty: &[CellId]) -> Result<ScanUpdate> {
         self.update_with(grid, dirty, sr_par::Pool::global())
     }
 
@@ -139,9 +141,10 @@ impl ScanCache {
         grid: &GridDataset,
         dirty: &[CellId],
         pool: &sr_par::Pool,
-    ) -> ScanUpdate {
+    ) -> Result<ScanUpdate> {
+        check_dirty(grid, dirty)?;
         if dirty.is_empty() {
-            return ScanUpdate::default();
+            return Ok(ScanUpdate::default());
         }
 
         let mut dirty_sorted: Vec<CellId> = dirty.to_vec();
@@ -167,64 +170,27 @@ impl ScanCache {
         let max_abs = grid.attr_max_abs();
         let denominators_moved = self.max_abs.len() != max_abs.len()
             || self.max_abs.iter().zip(&max_abs).any(|(a, b)| a.to_bits() != b.to_bits());
-        let mut recomputed = 0usize;
-        if denominators_moved {
+        let recomputed = if denominators_moved {
             self.max_abs = max_abs;
             let (edges, raw) = rebuild_edges(&normalize_attributes(grid), pool);
             self.edges = edges;
             self.raw = raw;
+            0
         } else {
-            // Incident edges of the dirty region: up to 4 per cell, deduped.
-            // Encoding: horizontal edge at flat index `i` is `2i`, vertical
-            // `2i + 1` — only so one sorted list covers both arrays.
-            let cols = self.edges.cols();
-            let rows = self.edges.rows();
-            let mut edge_keys: Vec<usize> = Vec::with_capacity(dirty_sorted.len() * 4);
-            for &id in &dirty_sorted {
-                let i = id as usize;
-                let (r, c) = (i / cols, i % cols);
-                if c > 0 {
-                    edge_keys.push(2 * (i - 1));
-                }
-                if c + 1 < cols {
-                    edge_keys.push(2 * i);
-                }
-                if r > 0 {
-                    edge_keys.push(2 * (i - cols) + 1);
-                }
-                if r + 1 < rows {
-                    edge_keys.push(2 * i + 1);
-                }
-            }
-            edge_keys.sort_unstable();
-            edge_keys.dedup();
-
             let mut removals: Vec<f64> = Vec::new();
             let mut insertions: Vec<f64> = Vec::new();
-            let (h, v) = self.edges.edges_mut();
-            for &key in &edge_keys {
-                let i = key >> 1;
-                let (store, other) = if key & 1 == 0 {
-                    (&mut h[i], (i + 1) as CellId)
-                } else {
-                    (&mut v[i], (i + cols) as CellId)
-                };
-                let old = *store;
-                let new = edge_value(grid, &self.max_abs, i as CellId, other);
-                recomputed += 1;
-                if old.to_bits() == new.to_bits() {
-                    continue;
-                }
-                *store = new;
-                if old.is_finite() {
-                    removals.push(old);
-                }
-                if new.is_finite() {
-                    insertions.push(new);
-                }
-            }
+            let recomputed =
+                self.edges.patch_cells(grid, &self.max_abs, &dirty_sorted, |old, new| {
+                    if old.is_finite() {
+                        removals.push(old);
+                    }
+                    if new.is_finite() {
+                        insertions.push(new);
+                    }
+                });
             self.apply_multiset_delta(&mut removals, &mut insertions);
-        }
+            recomputed
+        };
 
         if validity_changed {
             self.cells.clear();
@@ -239,12 +205,12 @@ impl ScanCache {
             }
         }
 
-        ScanUpdate {
+        Ok(ScanUpdate {
             dirty_cells: dirty_sorted.len(),
             edges_recomputed: recomputed,
             rebuilt_normalization: denominators_moved,
             rebuilt_cells: validity_changed,
-        }
+        })
     }
 
     /// Single-pass rewrite of the sorted multiset: drop one occurrence per
@@ -351,40 +317,16 @@ fn rebuild_edges(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariatio
     (edges, raw)
 }
 
-/// Recomputes one edge variation with the exact floating-point sequence of
-/// [`EdgeVariations::build_with`]: validity patching first (`-∞` for
-/// null–null, `+∞` for mixed), then the ascending-attribute accumulation of
-/// per-plane differences on normalized values and a single divide by `p`.
-/// Normalization happens on the fly: `x / m` here and `x / m` stored in a
-/// normalized plane are the same IEEE operation on the same operands.
-fn edge_value(grid: &GridDataset, max_abs: &[f64], a: CellId, b: CellId) -> f64 {
-    let (va, vb) = (grid.is_valid(a), grid.is_valid(b));
-    if !va && !vb {
-        return f64::NEG_INFINITY;
+/// Rejects a dirty list naming a cell outside `grid` — caller input on
+/// the public update and localized-run entry points, checked before any
+/// state is touched.
+pub(crate) fn check_dirty(grid: &GridDataset, dirty: &[CellId]) -> Result<()> {
+    if dirty.iter().any(|&id| id as usize >= grid.num_cells()) {
+        return Err(CoreError::Grid(GridError::DimensionMismatch {
+            context: "dirty cell id out of range",
+        }));
     }
-    if va != vb {
-        return f64::INFINITY;
-    }
-    let (a, b) = (a as usize, b as usize);
-    let mut sum = 0.0f64;
-    for (k, agg) in grid.agg_types().iter().enumerate() {
-        let plane = grid.attr_plane(k);
-        match agg {
-            AggType::Mode => {
-                sum += if plane[a] == plane[b] { 0.0 } else { 1.0 };
-            }
-            _ => {
-                let m = max_abs[k];
-                let (mut x, mut y) = (plane[a], plane[b]);
-                if m > 0.0 {
-                    x /= m;
-                    y /= m;
-                }
-                sum += (x - y).abs();
-            }
-        }
-    }
-    sum / grid.num_attrs() as f64
+    Ok(())
 }
 
 #[cfg(test)]
@@ -431,7 +373,7 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 80.0 + rng.gen_range(0.0..40.0));
             }
-            let report = cache.update(&g, &dirty);
+            let report = cache.update(&g, &dirty).unwrap();
             assert!(!report.rebuilt_normalization, "round {round} hit the rebuild guard");
             assert!(report.edges_recomputed > 0);
             assert_cache_fresh(&cache, &g);
@@ -443,13 +385,13 @@ mod tests {
         let mut g = random_grid(8, 8, 3);
         let mut cache = ScanCache::build(&g, IflOptions::default());
         g.set_null(27);
-        let report = cache.update(&g, &[27]);
+        let report = cache.update(&g, &[27]).unwrap();
         assert!(report.rebuilt_cells);
         assert!(!report.rebuilt_normalization);
         assert_cache_fresh(&cache, &g);
         g.set_value(27, 0, 105.0);
         g.set_valid(27);
-        let report = cache.update(&g, &[27]);
+        let report = cache.update(&g, &[27]).unwrap();
         assert!(report.rebuilt_cells);
         assert_cache_fresh(&cache, &g);
     }
@@ -459,7 +401,7 @@ mod tests {
         let mut g = random_grid(6, 6, 4);
         let mut cache = ScanCache::build(&g, IflOptions::default());
         g.set_value(10, 0, 1e6);
-        let report = cache.update(&g, &[10]);
+        let report = cache.update(&g, &[10]).unwrap();
         assert!(report.rebuilt_normalization);
         // A magnitude bump alone must not rebuild the cell list or the term
         // cache: their rows read raw values, not normalized ones.
@@ -487,7 +429,7 @@ mod tests {
         let mut cache = ScanCache::build(&g, IflOptions::default());
         g.set_value(10, 0, 1e6);
         g.set_null(20);
-        let report = cache.update(&g, &[10, 20]);
+        let report = cache.update(&g, &[10, 20]).unwrap();
         assert!(report.rebuilt_normalization);
         assert!(report.rebuilt_cells);
         assert_cache_fresh(&cache, &g);
@@ -507,7 +449,7 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 90.0 + rng.gen_range(0.0..20.0));
             }
-            cache.update(&g, &dirty);
+            cache.update(&g, &dirty).unwrap();
             let pool = sr_par::Pool::global();
             let inc =
                 driver.run_localized(&g, &cache, &mut LocalizedState::new(), &[], pool).unwrap();
@@ -531,7 +473,7 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 80.0 + rng.gen_range(0.0..40.0));
             }
-            cache.update(&g, &dirty);
+            cache.update(&g, &dirty).unwrap();
             let direct = cache.sorted_distinct_thresholds();
             // A from-scratch scan of the updated grid: a fresh edge scan,
             // the heap's own sort, and its dedup.
@@ -586,5 +528,23 @@ mod tests {
         g.set_null(9);
         let err = run(&g, &cache);
         assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
+    }
+
+    /// A dirty id outside the grid is refused where it enters, before any
+    /// state is touched: by the cache update and by the localized run.
+    #[test]
+    fn out_of_range_dirty_ids_are_rejected() {
+        let g = random_grid(4, 4, 12);
+        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let out_of_range = crate::CoreError::Grid(GridError::DimensionMismatch {
+            context: "dirty cell id out of range",
+        });
+        assert_eq!(cache.update(&g, &[3, 99]).unwrap_err(), out_of_range);
+        assert_cache_fresh(&cache, &g);
+        let driver = Repartitioner::new(0.1).unwrap();
+        let err = driver
+            .run_localized(&g, &cache, &mut LocalizedState::new(), &[99], sr_par::Pool::global())
+            .unwrap_err();
+        assert_eq!(err, out_of_range);
     }
 }

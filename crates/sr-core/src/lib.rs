@@ -26,7 +26,12 @@
 //!
 //! Each step has one implementation, the one the driver's threshold walk
 //! ([`localized`]) runs; the public stage functions above call the same
-//! kernels, so a stage run on its own reproduces the driver's bits.
+//! kernels, so a stage run on its own reproduces the driver's bits. Eq. 1
+//! and Eq. 3 live in sr-grid: the scan cache's edge patch and the
+//! [`quadtree`] read the [`EdgeVariations`](sr_grid::EdgeVariations) scan,
+//! and [`partition_ifl`], the [`streaming`] tier and reconstruction use
+//! [`sr_grid::loss`]'s term rule, per-cell subtotal, fold and
+//! [`representative`](sr_grid::representative).
 //!
 //! The driver lives in [`repartition::Repartitioner`]; the accepted result
 //! is a [`repartition::Repartitioned`], which offers the training-side
@@ -57,7 +62,7 @@ pub use extractor::{extract_cell_groups, extract_cell_groups_with, extract_with_
 pub use group_adjacency::{group_adjacency, group_adjacency_with};
 pub use heap::VariationHeap;
 pub use homogeneous::{homogeneous_ifl, homogeneous_merge, run_homogeneous, HomogeneousOutcome};
-pub use ifl::{partition_ifl, partition_ifl_with, representative};
+pub use ifl::{partition_ifl, partition_ifl_with};
 pub use incremental::{ScanCache, ScanUpdate};
 pub use localized::LocalizedState;
 pub use partition::{GroupId, GroupRect, Partition};

@@ -22,8 +22,9 @@
 //!    (the "content fingerprint": under a fixed grid, a rectangle *is* its
 //!    member set). An entry stays valid while no dirty cell lies inside the
 //!    rectangle; the IFL then re-folds the cached subtotals in canonical
-//!    cell order (`fold_cell_terms`), which `partition_ifl`'s two-level
-//!    grouping makes bit-identical to a live evaluation.
+//!    cell order with sr-grid's `fold_cell_terms`, the fold
+//!    `partition_ifl` runs, so the result is bit-identical to a live
+//!    evaluation.
 //! 3. **Warm-started θ search.** The walk starts from the previously
 //!    accepted variation and expands outward
 //!    ([`Repartitioner::run_with_pool_warm`] runs the same hinted walk
@@ -40,14 +41,15 @@
 
 use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
 use crate::extractor::{scan_row, VARIATION_SLACK};
-use crate::ifl::{cell_term_at, fold_cell_terms, representative, IflCellCache};
-use crate::incremental::ScanCache;
+use crate::ifl::IflCellCache;
+use crate::incremental::{check_dirty, ScanCache};
 use crate::partition::{GroupRect, Partition};
 use crate::repartition::{
     IterationStats, RepartitionOutcome, Repartitioned, Repartitioner, WalkKind,
 };
 use crate::{CoreError, Result};
-use sr_grid::{AggType, CellId, EdgeVariations, GridDataset};
+use sr_grid::loss::fold_cell_terms;
+use sr_grid::{representative, AggType, CellId, EdgeVariations, GridDataset};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -419,7 +421,7 @@ fn replay_trace(
 
 /// Builds the cached state of one multi-cell group: allocated features,
 /// representatives, and the Eq. 3 per-member subtotals — the same
-/// `allocate_rect_into` / [`representative`] / [`cell_term_at`] pipeline
+/// `allocate_rect_into` / [`representative`] / [`IflCellCache::cell_subtotal`] pipeline
 /// the batch evaluation runs, so every stored number matches its bits.
 #[allow(clippy::too_many_arguments)]
 fn build_rect_entry(
@@ -451,13 +453,11 @@ fn build_rect_entry(
             for cc in rect.c0 as usize..=rect.c1 as usize {
                 let pos = pos_of[base + cc];
                 if pos != u32::MAX {
-                    data.push(cell_term_at(
-                        cache,
+                    data.push(cache.cell_subtotal(
                         pos as usize,
                         &feat_tmp[p..2 * p],
                         aggs,
                         has_mode,
-                        p,
                     ));
                 }
             }
@@ -595,7 +595,7 @@ fn score_trace(
     for &rect in &to_scatter {
         scatter_entry(terms, pos_of, cols, rect, &rect_cache[&rect]);
     }
-    fold_cell_terms(terms, cache.terms(), pool)
+    fold_cell_terms(terms.len(), cache.terms(), pool, |i| terms[i])
 }
 
 /// Copies one group's cached per-member subtotals into the subtotal plane,
@@ -678,8 +678,8 @@ impl Repartitioner {
     /// maintained [`ScanCache`] whose cost is proportional to the dirty
     /// region. `dirty` is the set of cells whose values changed since the
     /// previous `run_localized` call on this `state` (duplicates are
-    /// harmless); `state` carries the traces, the per-group cache, and the
-    /// warm-start hint between runs.
+    /// harmless, an id outside the grid is an error); `state` carries the
+    /// traces, the per-group cache, and the warm-start hint between runs.
     ///
     /// Bit-identity contract: the outcome equals
     /// [`Repartitioner::run_with_pool_warm`] on the same grid with the hint
@@ -706,6 +706,7 @@ impl Repartitioner {
         {
             return Err(CoreError::ScanCacheMismatch);
         }
+        check_dirty(grid, dirty)?;
         let n = grid.num_cells();
         sr_obs::Registry::global().counter("repartition.runs_total").inc();
         let mut run_span = sr_obs::span("repartition.run");
@@ -977,7 +978,7 @@ mod tests {
                         let v = grid.value(id, 0) + bump;
                         grid.set_value(id, 0, v);
                     }
-                    let update = scan.update(&grid, &dirty);
+                    let update = scan.update(&grid, &dirty).unwrap();
                     if update.rebuilt_normalization {
                         state.invalidate();
                     }
@@ -1026,7 +1027,7 @@ mod tests {
         // threshold list and every remaining variation exceeds it.
         let dirty = vec![1 as CellId];
         grid.set_value(1, 0, 155.0);
-        let update = scan.update(&grid, &dirty);
+        let update = scan.update(&grid, &dirty).unwrap();
         assert!(!update.rebuilt_normalization);
         let thresholds = scan.sorted_distinct_thresholds();
         assert!(thresholds.iter().all(|&t| t > hint), "hint must sit below all thresholds");
@@ -1055,7 +1056,7 @@ mod tests {
             let v = grid.value(id, 0) * 1.001 + 0.05;
             grid.set_value(id, 0, v);
         }
-        let update = scan.update(&grid, &dirty);
+        let update = scan.update(&grid, &dirty).unwrap();
         if update.rebuilt_normalization {
             state.invalidate();
         }
@@ -1082,7 +1083,7 @@ mod tests {
         let dirty = vec![40 as CellId];
         let v = grid.value(40, 0) + 0.2;
         grid.set_value(40, 0, v);
-        let update = scan.update(&grid, &dirty);
+        let update = scan.update(&grid, &dirty).unwrap();
         if update.rebuilt_normalization {
             state.invalidate();
         }

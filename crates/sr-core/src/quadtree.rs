@@ -3,26 +3,31 @@
 //!
 //! Where Algorithm 1 grows rectangles from cells, the quadtree starts from
 //! the whole grid and recursively splits any rectangle that violates the
-//! homogeneity condition (some internal adjacent pair exceeds the
-//! min-adjacent variation, or the rectangle mixes null and valid cells)
-//! into quadrants until every leaf is homogeneous. Leaves are rectangles,
-//! so the result is a drop-in [`Partition`] — the ablation binary compares
-//! group counts at equal IFL against the paper's greedy extractor.
+//! homogeneity condition into quadrants until every leaf is homogeneous.
+//! Homogeneity reads sr-grid's [`EdgeVariations`] scan, Eq. 1 as the
+//! driver computes it: a rectangle is homogeneous when every internal edge
+//! is within the min-adjacent variation. The scan stores null–valid edges
+//! as `+∞` and null–null edges as `-∞`, so the same test keeps null and
+//! valid cells apart. Leaves are rectangles, so the result is a drop-in
+//! [`Partition`] — the ablation binary compares group counts at equal IFL
+//! against the paper's greedy extractor.
 
 use crate::extractor::VARIATION_SLACK;
 use crate::partition::{GroupRect, Partition};
-use sr_grid::{variation_between_typed, GridDataset};
+use sr_grid::{EdgeVariations, GridDataset};
 
-/// Builds a quadtree partition of `normalized` under the given
+/// Builds a quadtree partition of `normalized` under the given (finite)
 /// min-adjacent variation.
 pub fn quadtree_partition(normalized: &GridDataset, min_adjacent_variation: f64) -> Partition {
     let rows = normalized.rows();
     let cols = normalized.cols();
+    let edges = EdgeVariations::build(normalized);
+    let accept = min_adjacent_variation + VARIATION_SLACK;
     let mut groups: Vec<GroupRect> = Vec::new();
     let mut stack = vec![GroupRect { r0: 0, r1: (rows - 1) as u32, c0: 0, c1: (cols - 1) as u32 }];
 
     while let Some(rect) = stack.pop() {
-        if is_homogeneous(normalized, rect, min_adjacent_variation) {
+        if is_homogeneous(&edges, rect, accept) {
             groups.push(rect);
             continue;
         }
@@ -59,43 +64,16 @@ pub fn quadtree_partition(normalized: &GridDataset, min_adjacent_variation: f64)
     Partition::from_rects(rows, cols, groups)
 }
 
-/// A rectangle is homogeneous when all its cells agree on validity and all
-/// internal adjacent pairs stay within the variation bound.
-fn is_homogeneous(grid: &GridDataset, rect: GroupRect, threshold: f64) -> bool {
-    if rect.len() == 1 {
-        return true;
-    }
-    let aggs = grid.agg_types();
-    let first_valid = grid.is_valid(grid.cell_id(rect.r0 as usize, rect.c0 as usize));
-    for (r, c) in rect.cells() {
-        let id = grid.cell_id(r as usize, c as usize);
-        if grid.is_valid(id) != first_valid {
-            return false;
-        }
-        if !first_valid {
-            continue;
-        }
-        let fv = grid.features_unchecked(id);
-        if c < rect.c1 {
-            let right = grid.cell_id(r as usize, c as usize + 1);
-            if grid.is_valid(right)
-                && variation_between_typed(&fv, &grid.features_unchecked(right), aggs)
-                    > threshold + VARIATION_SLACK
-            {
-                return false;
-            }
-        }
-        if r < rect.r1 {
-            let down = grid.cell_id(r as usize + 1, c as usize);
-            if grid.is_valid(down)
-                && variation_between_typed(&fv, &grid.features_unchecked(down), aggs)
-                    > threshold + VARIATION_SLACK
-            {
-                return false;
-            }
-        }
-    }
-    true
+/// A rectangle is homogeneous when every internal edge — right edges left
+/// of its last column, down edges above its last row — is `≤ accept`.
+fn is_homogeneous(edges: &EdgeVariations, rect: GroupRect, accept: f64) -> bool {
+    let cols = edges.cols();
+    let (c0, c1) = (rect.c0 as usize, rect.c1 as usize);
+    (rect.r0..=rect.r1).all(|r| {
+        let base = r as usize * cols;
+        edges.h()[base + c0..base + c1].iter().all(|&e| e <= accept)
+            && (r == rect.r1 || edges.v()[base + c0..=base + c1].iter().all(|&e| e <= accept))
+    })
 }
 
 #[cfg(test)]
@@ -104,7 +82,7 @@ mod tests {
     use crate::allocator::allocate_features;
     use crate::extractor::extract_cell_groups;
     use crate::ifl::partition_ifl;
-    use sr_grid::{normalize_attributes, IflOptions};
+    use sr_grid::{normalize_attributes, variation_between, IflOptions};
 
     #[test]
     fn uniform_grid_one_leaf() {
@@ -143,8 +121,26 @@ mod tests {
         let norm = normalize_attributes(&g);
         let theta = 0.12;
         let p = quadtree_partition(&norm, theta);
+        assert!(p.num_groups() > 1 && p.num_groups() < 144);
+        // Every internal pair of every leaf, by Eq. 1 on gathered features.
+        let bound = theta + VARIATION_SLACK;
         for gid in 0..p.num_groups() as u32 {
-            assert!(is_homogeneous(&norm, p.rect(gid), theta));
+            let rect = p.rect(gid);
+            for (r, c) in rect.cells() {
+                let fv = norm.features(norm.cell_id(r as usize, c as usize)).unwrap();
+                let mut neighbors = Vec::new();
+                if c < rect.c1 {
+                    neighbors.push((r, c + 1));
+                }
+                if r < rect.r1 {
+                    neighbors.push((r + 1, c));
+                }
+                for (nr, nc) in neighbors {
+                    let other = norm.features(norm.cell_id(nr as usize, nc as usize)).unwrap();
+                    let var = variation_between(&fv, &other);
+                    assert!(var <= bound, "leaf {gid}: ({r},{c})-({nr},{nc}) varies {var}");
+                }
+            }
         }
     }
 

@@ -6,18 +6,22 @@
 //! depends on the aggregation type: `Avg` group values are copied to every
 //! member cell, `Sum` group values are divided by the member count (paper
 //! Example 7: a 2-cell Sum group valued 54 reconstructs to 27 per cell).
+//! The transform is [`sr_grid::representative`], the one Eq. 3 compares
+//! every cell with and the serving layer answers with.
 
 use crate::allocator::GroupFeatures;
-use crate::ifl::representative;
 use crate::partition::Partition;
-use sr_grid::{GridDataset, Result};
+use sr_grid::{representative, GridDataset, Result};
 
 /// Materializes a full-resolution grid in which every cell carries its
-/// representative value from (`partition`, `group_features`).
+/// [`representative`] value from (`partition`, `group_features`), with
+/// the member counts `group_features` holds — the counts
+/// [`crate::partition_ifl`] un-sums by.
 ///
 /// `original` supplies the shape, schema, and validity mask (cells that were
 /// null stay null — they belong to null groups). The returned grid is
-/// directly comparable to `original` via [`sr_grid::information_loss`].
+/// directly comparable to `original` via [`sr_grid::information_loss`],
+/// which over it equals [`crate::partition_ifl`] bit for bit.
 pub fn reconstruct_grid(
     original: &GridDataset,
     partition: &Partition,
@@ -27,19 +31,15 @@ pub fn reconstruct_grid(
     let n_cells = original.num_cells();
     let aggs = original.agg_types();
 
-    let mut valid_counts = vec![0usize; partition.num_groups()];
-    for id in original.valid_cells() {
-        valid_counts[partition.group_of(id) as usize] += 1;
-    }
-
     let mut data = vec![0.0f64; n_cells * p];
     let mut valid = vec![false; n_cells];
     for id in original.valid_cells() {
         let g = partition.group_of(id) as usize;
         if let Some(fv) = group_features.row(g) {
             valid[id as usize] = true;
+            let members = group_features.valid_count(g);
             for (k, &gv) in fv.iter().enumerate() {
-                data[id as usize * p + k] = representative(gv, aggs[k], valid_counts[g]);
+                data[id as usize * p + k] = representative(gv, aggs[k], members);
             }
         }
     }
@@ -113,8 +113,8 @@ mod tests {
     #[test]
     fn grid_ifl_equals_partition_ifl() {
         // information_loss(original, reconstruct(...)) must equal
-        // partition_ifl(original, ...): the two code paths implement the
-        // same Eq. (3).
+        // partition_ifl(original, ...) bit for bit: both run sr-grid's
+        // Eq. 3 term rule, subtotal and fold.
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(5);
         let vals: Vec<f64> = (0..64).map(|_| rng.gen_range(1.0..9.0)).collect();
@@ -125,6 +125,6 @@ mod tests {
         let via_partition = partition_ifl(&g, &p, &feats, IflOptions::default());
         let rec = reconstruct_grid(&g, &p, &feats).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
-        assert!((via_partition - via_grid).abs() < 1e-12);
+        assert_eq!(via_partition.to_bits(), via_grid.to_bits());
     }
 }

@@ -10,17 +10,22 @@
 //! - [`StreamingRepartitioner::apply`] splits the affected groups into
 //!   singletons, writes the new values, and updates the IFL bookkeeping
 //!   incrementally — O(affected-group size) per update, never a full pass.
+//!   Every term is scored with sr-grid's Eq. 3 term rule and per-cell
+//!   subtotal ([`sr_grid::loss`]), the ones the batch driver folds, so
+//!   [`StreamingRepartitioner::ifl`] is the driver's Eq. 3 on the live
+//!   partition, categorical attributes included.
 //! - The IFL therefore never exceeds the threshold between compactions
 //!   (property-tested).
 //! - Fragmentation accumulates; [`StreamingRepartitioner::fragmentation`]
 //!   tracks it and [`StreamingRepartitioner::compact`] re-runs the batch
 //!   driver to restore the reduction.
 
-use crate::ifl::representative;
+use crate::allocator::GroupFeatures;
 use crate::partition::{GroupId, GroupRect};
 use crate::repartition::{IterationStrategy, RepartitionConfig, Repartitioner};
 use crate::{CoreError, Result};
-use sr_grid::{CellId, GridDataset, IflOptions};
+use sr_grid::loss::{cell_subtotal, term_inverse};
+use sr_grid::{representative, AggType, CellId, GridDataset, IflOptions};
 
 /// One streaming update: a cell gets a fresh feature vector (`None` clears
 /// the cell to null — e.g. a region going out of coverage).
@@ -56,9 +61,10 @@ pub struct StreamingRepartitioner {
     // Mutable partition state (same encoding as `Partition`, but growable).
     rects: Vec<GroupRect>,
     cell_to_group: Vec<GroupId>,
-    features: Vec<Option<Vec<f64>>>,
-    valid_counts: Vec<usize>,
-    /// Per-group IFL bookkeeping: (Σ relative-error terms, #terms).
+    /// Group rows and member counts, cloned from the driver's winner;
+    /// split groups become single-member rows.
+    features: GroupFeatures,
+    /// Per-group IFL bookkeeping: (Σ members' Eq. 3 subtotals, #terms).
     contributions: Vec<(f64, usize)>,
     /// Group count right after the last compaction (fragmentation anchor).
     compacted_groups: usize,
@@ -74,19 +80,12 @@ impl StreamingRepartitioner {
         let rep = outcome.repartitioned;
         let partition = rep.partition();
 
-        let rects = partition.rects().to_vec();
-        let cell_to_group = partition.cell_to_group().to_vec();
-        let features = (0..rects.len() as GroupId)
-            .map(|g| rep.group_feature(g).map(<[f64]>::to_vec))
-            .collect();
-
         let mut this = StreamingRepartitioner {
             threshold,
             ifl_options: IflOptions::default(),
-            rects,
-            cell_to_group,
-            features,
-            valid_counts: Vec::new(),
+            rects: partition.rects().to_vec(),
+            cell_to_group: partition.cell_to_group().to_vec(),
+            features: rep.features().clone(),
             contributions: Vec::new(),
             compacted_groups: 0,
             grid,
@@ -108,7 +107,7 @@ impl StreamingRepartitioner {
 
     /// Feature vector of a group.
     pub fn group_feature(&self, g: GroupId) -> Option<&[f64]> {
-        self.features[g as usize].as_deref()
+        self.features.row(g as usize)
     }
 
     /// Current information loss (maintained incrementally).
@@ -181,16 +180,14 @@ impl StreamingRepartitioner {
                     // set_value does not flip validity; a previously nulled
                     // cell becomes live again.
                     self.grid.set_valid(u.cell);
-                    self.features[sg] = Some(fv.clone());
-                    self.valid_counts[sg] = 1;
-                    // Zero loss, but the cell's countable attributes stay in
-                    // the denominator.
-                    self.contributions[sg] = (0.0, self.countable_terms(u.cell));
+                    self.features.set_single(sg, Some(fv));
+                    // Zero loss, but the cell's counted terms stay in the
+                    // denominator.
+                    self.contributions[sg] = self.cell_terms(u.cell, sg);
                 }
                 None => {
                     self.grid.set_null(u.cell);
-                    self.features[sg] = None;
-                    self.valid_counts[sg] = 0;
+                    self.features.set_single(sg, None);
                     self.contributions[sg] = (0.0, 0);
                 }
             }
@@ -204,16 +201,27 @@ impl StreamingRepartitioner {
         Ok(splits)
     }
 
-    /// Number of Eq.-3 terms a valid cell contributes: every `Mode`
-    /// attribute plus every numeric attribute above the zero guard.
-    fn countable_terms(&self, cell: CellId) -> usize {
-        let fv = self.grid.features_unchecked(cell);
-        fv.iter()
-            .zip(self.grid.agg_types())
-            .filter(|(v, agg)| {
-                **agg == sr_grid::AggType::Mode || v.abs() > self.ifl_options.zero_eps
+    /// The Eq. 3 subtotal of valid cell `cell` against the representative
+    /// row of its group `g`, and the number of its terms the rule counts —
+    /// sr-grid's term rule and per-cell subtotal, the driver's.
+    fn cell_terms(&self, cell: CellId, g: usize) -> (f64, usize) {
+        let aggs = self.grid.agg_types();
+        let members = self.features.valid_count(g);
+        let row = self.features.row(g).expect("a valid cell lies in a non-null group");
+        let rep: Vec<f64> =
+            row.iter().zip(aggs).map(|(&v, &agg)| representative(v, agg, members)).collect();
+        let d = self.grid.features_unchecked(cell);
+        let mut terms = 0usize;
+        let inv: Vec<f64> = d
+            .iter()
+            .zip(aggs)
+            .map(|(&v, &agg)| {
+                let w = term_inverse(v, agg, self.ifl_options);
+                terms += usize::from(w.is_some());
+                w.unwrap_or(0.0)
             })
-            .count()
+            .collect();
+        (cell_subtotal(&d, &inv, &rep, aggs, aggs.contains(&AggType::Mode)), terms)
     }
 
     /// Re-runs the batch driver over the *current* grid, restoring the
@@ -248,50 +256,34 @@ impl StreamingRepartitioner {
             } else {
                 let gid = self.rects.len() as GroupId;
                 self.rects.push(GroupRect::cell(r, c));
-                self.features.push(None);
-                self.valid_counts.push(0);
                 self.contributions.push((0.0, 0));
                 gid
             };
-            self.rects[gid as usize] = GroupRect::cell(r, c);
+            let gi = gid as usize;
+            self.rects[gi] = GroupRect::cell(r, c);
             self.cell_to_group[cell as usize] = gid;
-            let (fv, count) = if self.grid.is_valid(cell) {
-                (Some(self.grid.features_unchecked(cell).to_vec()), 1)
-            } else {
-                (None, 0)
-            };
-            self.features[gid as usize] = fv;
-            self.valid_counts[gid as usize] = count;
             // Singletons are loss-free but keep their denominator terms.
-            let terms = if count > 0 { self.countable_terms(cell) } else { 0 };
-            self.contributions[gid as usize] = (0.0, terms);
+            if self.grid.is_valid(cell) {
+                self.features.set_single(gi, Some(&self.grid.features_unchecked(cell)));
+                self.contributions[gi] = self.cell_terms(cell, gi);
+            } else {
+                self.features.set_single(gi, None);
+                self.contributions[gi] = (0.0, 0);
+            }
         }
     }
 
-    /// Recomputes valid counts and per-group IFL contributions from
-    /// scratch (used at construction/compaction only).
+    /// Recomputes the per-group IFL contributions from scratch (used at
+    /// construction/compaction only).
     fn rebuild_bookkeeping(&mut self) {
-        let n_groups = self.rects.len();
-        self.valid_counts = vec![0; n_groups];
-        for id in self.grid.valid_cells() {
-            self.valid_counts[self.cell_to_group[id as usize] as usize] += 1;
-        }
-        self.contributions = vec![(0.0, 0); n_groups];
-        let aggs = self.grid.agg_types().to_vec();
+        let mut contributions = vec![(0.0, 0); self.rects.len()];
         for id in self.grid.valid_cells() {
             let g = self.cell_to_group[id as usize] as usize;
-            let Some(fv) = &self.features[g] else { continue };
-            let d = self.grid.features_unchecked(id);
-            for (k, &dk) in d.iter().enumerate() {
-                let denom = dk.abs();
-                if denom <= self.ifl_options.zero_eps {
-                    continue;
-                }
-                let rep = representative(fv[k], aggs[k], self.valid_counts[g]);
-                self.contributions[g].0 += (dk - rep).abs() / denom;
-                self.contributions[g].1 += 1;
-            }
+            let (sum, terms) = self.cell_terms(id, g);
+            contributions[g].0 += sum;
+            contributions[g].1 += terms;
         }
+        self.contributions = contributions;
     }
 }
 
@@ -389,5 +381,46 @@ mod tests {
         let mut copy = s.clone();
         copy.rebuild_bookkeeping();
         assert!((incremental - copy.ifl()).abs() < 1e-12);
+    }
+
+    /// Streaming scores a categorical grid with the driver's Eq. 3: `Mode`
+    /// terms are 0/1 mismatches that always count, code 0 included.
+    #[test]
+    fn categorical_grid_matches_batch_ifl() {
+        use sr_grid::Bounds;
+        let n = 8;
+        let mut data = Vec::with_capacity(2 * n * n);
+        for i in 0..n * n {
+            let (r, c) = (i / n, i % n);
+            data.push(100.0 + r as f64 * 0.7 + c as f64 * 0.3);
+            data.push(((r / 3 + c / 4) % 3) as f64);
+        }
+        let g = GridDataset::new(
+            n,
+            n,
+            2,
+            data,
+            vec![true; n * n],
+            vec!["price".into(), "zone".into()],
+            vec![AggType::Avg, AggType::Mode],
+            vec![false, false],
+            Bounds::unit(),
+        )
+        .unwrap();
+        for theta in [0.3, 0.1] {
+            let config = RepartitionConfig::new(theta)
+                .unwrap()
+                .with_strategy(IterationStrategy::for_cells(g.num_cells()));
+            let batch = Repartitioner::with_config(config).unwrap().run(&g).unwrap().repartitioned;
+            let stream = StreamingRepartitioner::new(g.clone(), theta).unwrap();
+            assert_eq!(stream.num_groups(), batch.num_groups());
+            assert!(
+                (stream.ifl() - batch.ifl()).abs() < 1e-12,
+                "θ {theta}: streaming {} vs batch {} ({} groups)",
+                stream.ifl(),
+                batch.ifl(),
+                batch.num_groups()
+            );
+        }
     }
 }

@@ -89,7 +89,8 @@ proptest! {
         prop_assert!(out.cell_reduction() >= 0.0);
     }
 
-    /// partition_ifl and information_loss-over-reconstruction agree.
+    /// partition_ifl and information_loss-over-reconstruction agree bit for
+    /// bit: both run sr-grid's Eq. 3 term rule, subtotal and fold.
     #[test]
     fn reconstruction_matches_partition_ifl(
         g in grid_strategy(),
@@ -101,7 +102,7 @@ proptest! {
         let direct = partition_ifl(&g, &p, &feats, IflOptions::default());
         let rec = sr_core::reconstruct_grid(&g, &p, &feats).unwrap();
         let via_grid = information_loss(&g, &rec, IflOptions::default()).unwrap();
-        prop_assert!((direct - via_grid).abs() < 1e-10);
+        prop_assert_eq!(direct.to_bits(), via_grid.to_bits());
     }
 
     /// Group adjacency is symmetric, self-loop free, and connects exactly

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use sr_core::{quadtree_partition, CellUpdate, StreamingRepartitioner, TemporalRepartitioner};
-use sr_grid::{normalize_attributes, GridDataset};
+use sr_grid::{
+    information_loss, normalize_attributes, representative, AggType, Bounds, GridDataset,
+    IflOptions,
+};
 
 fn grid_strategy() -> impl Strategy<Value = GridDataset> {
     (4usize..10, 4usize..10)
@@ -13,8 +16,96 @@ fn grid_strategy() -> impl Strategy<Value = GridDataset> {
         .prop_map(|(rows, cols, vals)| GridDataset::univariate(rows, cols, vals).unwrap())
 }
 
+/// An `Avg` price and a `Mode` class code (0, 1 or 2) per cell, about one
+/// cell in ten null.
+fn categorical_grid_strategy() -> impl Strategy<Value = GridDataset> {
+    (4usize..9, 4usize..9)
+        .prop_flat_map(|(rows, cols)| {
+            let cell = (1.0f64..50.0, 0u8..3, 0u8..10);
+            (Just(rows), Just(cols), prop::collection::vec(cell, rows * cols))
+        })
+        .prop_map(|(rows, cols, cells)| {
+            let data = cells.iter().flat_map(|&(v, code, _)| [v, f64::from(code)]).collect();
+            let valid = cells.iter().map(|&(_, _, hole)| hole != 0).collect();
+            GridDataset::new(
+                rows,
+                cols,
+                2,
+                data,
+                valid,
+                vec!["price".into(), "class".into()],
+                vec![AggType::Avg, AggType::Mode],
+                vec![false, false],
+                Bounds::unit(),
+            )
+            .unwrap()
+        })
+}
+
+/// Eq. 3 of a streaming state recomputed through its public accessors:
+/// every valid cell gets the representative of its group's row and
+/// valid-member count, and `information_loss` scores the reconstruction.
+fn recomputed_ifl(s: &StreamingRepartitioner) -> f64 {
+    let g = s.grid();
+    let (n, p) = (g.num_cells(), g.num_attrs());
+    let mut members = vec![0usize; s.num_groups()];
+    for id in g.valid_cells() {
+        members[s.group_of(id) as usize] += 1;
+    }
+    let mut planes = vec![0.0; n * p];
+    let mut valid = vec![false; n];
+    for id in g.valid_cells() {
+        let gid = s.group_of(id);
+        let row = s.group_feature(gid).expect("valid cell in a null group");
+        valid[id as usize] = true;
+        for k in 0..p {
+            let rep = representative(row[k], g.agg_types()[k], members[gid as usize]);
+            planes[k * n + id as usize] = rep;
+        }
+    }
+    let rec = GridDataset::from_planes(
+        g.rows(),
+        g.cols(),
+        p,
+        planes,
+        valid,
+        g.attr_names().to_vec(),
+        g.agg_types().to_vec(),
+        g.integer_attrs().to_vec(),
+        g.bounds(),
+    )
+    .unwrap();
+    information_loss(g, &rec, IflOptions::default()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The streaming tier's maintained IFL is Eq. 3 of its live partition
+    /// on a mixed numeric/categorical schema with nulls — after
+    /// construction and after every update that writes new values and
+    /// class codes or nulls a cell.
+    #[test]
+    fn streaming_ifl_is_eq3_on_categorical_grids(
+        g in categorical_grid_strategy(),
+        theta in 0.05f64..0.4,
+        updates in prop::collection::vec((0usize..64, 0u8..4, 1.0f64..50.0, 0u8..3), 1..16),
+    ) {
+        let n = g.num_cells();
+        let mut s = StreamingRepartitioner::new(g, theta).unwrap();
+        let (got, want) = (s.ifl(), recomputed_ifl(&s));
+        prop_assert!((got - want).abs() < 1e-12, "after construction: streaming {got} vs Eq. 3 {want}");
+        for (cell, kind, value, code) in updates {
+            let cell = (cell % n) as u32;
+            let features = (kind != 0).then(|| vec![value, f64::from(code)]);
+            s.apply(&[CellUpdate { cell, features }]).unwrap();
+            let (got, want) = (s.ifl(), recomputed_ifl(&s));
+            prop_assert!(
+                (got - want).abs() < 1e-12,
+                "after updating cell {cell}: streaming {got} vs Eq. 3 {want}"
+            );
+        }
+    }
 
     /// Streaming invariant: no sequence of updates pushes the IFL above the
     /// budget, and the incremental IFL always matches a full recompute via

@@ -12,9 +12,12 @@
 //! - [`normalize`]: attribute normalization to `[0, 1]` (the paper's worked
 //!   example divides by the per-attribute maximum).
 //! - [`variation`]: attribute variation between cells — Eq. (1) — and
-//!   [`EdgeVariations`], the per-edge scan every threshold reads.
+//!   [`EdgeVariations`], the per-edge scan every threshold reads, with its
+//!   incident-edge patch after cell updates.
 //! - [`loss`]: local loss of cell-groups — Eq. (2) — and information loss
-//!   (IFL, a mean-absolute-percentage error) — Eq. (3).
+//!   (IFL, a mean-absolute-percentage error) — Eq. (3): the term rule, the
+//!   per-cell subtotal and the chunked fold every IFL in the workspace is
+//!   computed with, and §III-C's [`representative`].
 //! - [`adjacency`]: rook adjacency lists with binary weights, plus the
 //!   sparse `W·y` products spatial models need.
 //! - [`autocorrelation`]: Moran's I — Eq. (4) — and Geary's C.
@@ -38,7 +41,7 @@ pub use curve::{hilbert_key, hilbert_key_scaled};
 pub use dataset::{AggType, Bounds, CellId, GridBuilder, GridDataset, PointRecord};
 pub use io::{load_grid, read_gal, read_grid, save_grid, write_gal, write_grid};
 pub use local_stats::{join_counts, local_morans_i, JoinCounts, LisaQuadrant, LisaResult};
-pub use loss::{information_loss, local_loss, IflOptions};
+pub use loss::{information_loss, local_loss, representative, IflOptions};
 pub use normalize::normalize_attributes;
 pub use render::{render_heatmap, render_partition};
 pub use variation::{variation_between, variation_between_typed, EdgeVariations};

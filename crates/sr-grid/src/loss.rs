@@ -1,7 +1,20 @@
 //! Local loss of cell-groups — Eq. (2) — and information loss (IFL) between
 //! an original grid and its re-partitioned form — Eq. (3).
+//!
+//! Eq. 3 has one implementation, in three pieces that every IFL number in
+//! the workspace is computed with — the threshold walk, `partition_ifl`,
+//! the streaming tier, [`information_loss`] and the baselines:
+//!
+//! - [`term_inverse`], the term rule: which (cell, attribute) terms count
+//!   and their inverse denominators;
+//! - [`cell_subtotal`], one cell's terms against its representative row;
+//! - [`fold_cell_terms`], the chunked sum of per-cell subtotals and the
+//!   average.
+//!
+//! [`representative`] is §III-C's aggregation-aware representative a
+//! member cell is compared with.
 
-use crate::dataset::{CellId, GridDataset};
+use crate::dataset::{AggType, GridDataset};
 use crate::{GridError, Result};
 
 /// Local loss of a cell-group for one attribute (Eq. 2):
@@ -34,15 +47,99 @@ impl Default for IflOptions {
     }
 }
 
+/// Representative value of a cell inside a group, given the group's
+/// allocated value for one attribute and the group's valid-member count
+/// (§III-C): `Sum`-typed values are divided back by the member count,
+/// `Avg`/`Mode` values apply to each member directly.
+#[inline]
+pub fn representative(group_value: f64, agg: AggType, members: usize) -> f64 {
+    match agg {
+        AggType::Sum => group_value / members as f64,
+        AggType::Avg | AggType::Mode => group_value,
+    }
+}
+
+/// The Eq. 3 term rule for the (cell, attribute) term whose original value
+/// is `d`: `Some(inverse denominator)` when the term counts towards the
+/// average, `None` when it is skipped.
+///
+/// A `Mode` (categorical) term always counts, as a 0/1 mismatch; it never
+/// reads an inverse, so its inverse is reported as 0.0. A numeric term is a
+/// percentage error, undefined at zero: it counts iff `|d| > zero_eps`,
+/// with inverse denominator `1/|d|`.
+#[inline]
+pub fn term_inverse(d: f64, agg: AggType, opts: IflOptions) -> Option<f64> {
+    if agg == AggType::Mode {
+        return Some(0.0);
+    }
+    let denom = d.abs();
+    (denom > opts.zero_eps).then(|| 1.0 / denom)
+}
+
+/// The Eq. 3 subtotal of one cell: its terms against the representative
+/// row `rep`, added in ascending attribute order. `d` holds the cell's
+/// original values and `inv` their [`term_inverse`]s, 0.0 for skipped
+/// terms: adding `|d − r| · 0.0 = 0.0` to a non-negative subtotal leaves
+/// it unchanged, so no per-term branch is needed. `has_mode` says whether
+/// `aggs` holds a `Mode` attribute; numeric schemas take the branch-free
+/// loop.
+#[inline]
+pub fn cell_subtotal(d: &[f64], inv: &[f64], rep: &[f64], aggs: &[AggType], has_mode: bool) -> f64 {
+    let p = d.len();
+    let (inv, rep, aggs) = (&inv[..p], &rep[..p], &aggs[..p]);
+    let mut t = 0.0f64;
+    if has_mode {
+        for k in 0..p {
+            if aggs[k] == AggType::Mode {
+                t += if d[k] == rep[k] { 0.0 } else { 1.0 };
+            } else {
+                t += (d[k] - rep[k]).abs() * inv[k];
+            }
+        }
+    } else {
+        for k in 0..p {
+            t += (d[k] - rep[k]).abs() * inv[k];
+        }
+    }
+    t
+}
+
+/// Eq. 3's average: folds the per-cell subtotals `subtotal(pos)` of the
+/// `cells` listed valid cells (ascending) in fixed-grain chunks whose
+/// partials add in chunk order, and divides by `term_count`, the number of
+/// counted terms. Chunk boundaries depend on `cells` only, so the result
+/// is bit-identical at any thread count. A `+0.0` subtotal is a bitwise
+/// no-op on the non-negative partials, so callers may return it for cells
+/// whose terms are exact zeros.
+pub fn fold_cell_terms(
+    cells: usize,
+    term_count: usize,
+    pool: &sr_par::Pool,
+    subtotal: impl Fn(usize) -> f64 + Sync,
+) -> f64 {
+    let partials = pool.par_map_chunks(cells, sr_par::fixed_grain(cells, 64), |range| {
+        let mut sum = 0.0f64;
+        for pos in range {
+            sum += subtotal(pos);
+        }
+        sum
+    });
+    if term_count == 0 {
+        return 0.0;
+    }
+    partials.iter().sum::<f64>() / term_count as f64
+}
+
 /// Information loss (Eq. 3) between `original` and `reconstructed`, where
 /// `reconstructed` is a grid of the *same shape* holding, for every original
-/// cell, its representative value in the re-partitioned dataset (Sum-typed
-/// attributes already divided back by group size — see
+/// cell, its [`representative`] value in the re-partitioned dataset (see
 /// `sr-core::reconstruct`).
 ///
 /// `IFL(d, d̄) = (1/(n·m)) Σᵢ Σⱼ |dᵢ(j) − d̄ᵢ(j)| / dᵢ(j)`
 /// summed over valid cells `i` and attributes `j`; `n` counts cells with a
-/// valid feature vector.
+/// valid feature vector. The terms, subtotals and fold are the driver's
+/// (module docs), so over `reconstruct_grid`'s output this equals
+/// `partition_ifl` bit for bit.
 pub fn information_loss(
     original: &GridDataset,
     reconstructed: &GridDataset,
@@ -57,72 +154,24 @@ pub fn information_loss(
     let p = original.num_attrs();
     let n = original.num_cells();
     let aggs = original.agg_types();
-    let planes = original.planes();
-    let rplanes = reconstructed.planes();
-    let mut sum = 0.0;
+    let has_mode = aggs.contains(&AggType::Mode);
+    let (planes, rplanes) = (original.planes(), reconstructed.planes());
+    // One cell's values, inverse denominators and representatives.
+    let (mut d, mut inv, mut rep) = (vec![0.0f64; p], vec![0.0f64; p], vec![0.0f64; p]);
+    let mut subtotals = Vec::with_capacity(original.num_valid_cells());
     let mut terms = 0usize;
-    // Cell-outer, attribute-inner: the summation order every prior layout
-    // used, so the reported metric is bit-stable across storage changes.
     for id in original.valid_cells() {
         let id = id as usize;
         for k in 0..p {
-            let dk = planes[k * n + id];
-            let dbark = rplanes[k * n + id];
-            if aggs[k] == crate::AggType::Mode {
-                // Categorical term: mismatch indicator (§VI extension).
-                sum += if dk == dbark { 0.0 } else { 1.0 };
-                terms += 1;
-                continue;
-            }
-            let denom = dk.abs();
-            if denom <= opts.zero_eps {
-                // Percentage error undefined at zero; skip and shrink the
-                // averaging denominator (documented substitution).
-                continue;
-            }
-            sum += (dk - dbark).abs() / denom;
-            terms += 1;
+            d[k] = planes[k * n + id];
+            rep[k] = rplanes[k * n + id];
+            let w = term_inverse(d[k], aggs[k], opts);
+            terms += usize::from(w.is_some());
+            inv[k] = w.unwrap_or(0.0);
         }
+        subtotals.push(cell_subtotal(&d, &inv, &rep, aggs, has_mode));
     }
-    if terms == 0 {
-        return Ok(0.0);
-    }
-    Ok(sum / terms as f64)
-}
-
-/// Convenience: IFL where the representative of each cell is produced by a
-/// closure (used by the core driver before materializing a reconstruction).
-pub fn information_loss_with(
-    original: &GridDataset,
-    representative: impl Fn(CellId, usize) -> f64,
-    opts: IflOptions,
-) -> f64 {
-    let p = original.num_attrs();
-    let n = original.num_cells();
-    let aggs = original.agg_types();
-    let planes = original.planes();
-    let mut sum = 0.0;
-    let mut terms = 0usize;
-    for id in original.valid_cells() {
-        for k in 0..p {
-            let dk = planes[k * n + id as usize];
-            if aggs[k] == crate::AggType::Mode {
-                sum += if dk == representative(id, k) { 0.0 } else { 1.0 };
-                terms += 1;
-                continue;
-            }
-            let denom = dk.abs();
-            if denom <= opts.zero_eps {
-                continue;
-            }
-            sum += (dk - representative(id, k)).abs() / denom;
-            terms += 1;
-        }
-    }
-    if terms == 0 {
-        return 0.0;
-    }
-    sum / terms as f64
+    Ok(fold_cell_terms(subtotals.len(), terms, sr_par::Pool::global(), |i| subtotals[i]))
 }
 
 #[cfg(test)]
@@ -195,12 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn ifl_with_closure_matches_grid_form() {
-        let g = GridDataset::univariate(1, 2, vec![10.0, 20.0]).unwrap();
-        let r = GridDataset::univariate(1, 2, vec![12.0, 16.0]).unwrap();
-        let a = information_loss(&g, &r, IflOptions::default()).unwrap();
-        let b = information_loss_with(&g, |id, k| r.value(id, k), IflOptions::default());
-        assert_eq!(a, b);
+    fn term_rule_counts_mode_terms_and_numeric_terms_above_the_guard() {
+        let opts = IflOptions::default();
+        assert_eq!(term_inverse(0.0, AggType::Mode, opts), Some(0.0));
+        assert_eq!(term_inverse(-4.0, AggType::Avg, opts), Some(0.25));
+        assert_eq!(term_inverse(1e-13, AggType::Sum, opts), None);
     }
 
     #[test]

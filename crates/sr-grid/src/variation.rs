@@ -7,9 +7,11 @@
 //! all columns with flat autovectorization-friendly loops. Each edge's sum
 //! receives its per-attribute terms in ascending-`k` order, so every edge
 //! is bit-identical to [`variation_between_typed`] on the gathered feature
-//! vectors.
+//! vectors. [`EdgeVariations::patch_cells`] keeps a scan current after cell
+//! updates by re-evaluating the incident edges with that same function,
+//! so the scan and the patch are one Eq. 1.
 
-use crate::dataset::{AggType, GridDataset};
+use crate::dataset::{AggType, CellId, GridDataset};
 
 /// Variation between two feature vectors (Eq. 1): the mean absolute
 /// per-attribute difference,
@@ -201,11 +203,88 @@ impl EdgeVariations {
         &self.v
     }
 
-    /// Both edge arrays, writable, for callers that patch single edges
-    /// after cell updates. A patched edge must follow the conventions
-    /// above and equal what [`EdgeVariations::build_with`] computes for it.
-    pub fn edges_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.h, &mut self.v)
+    /// Re-evaluates every edge incident to the `dirty` cells after their
+    /// values or validity changed in `grid`, and returns how many edges it
+    /// evaluated. `dirty` may hold duplicates, in any order; each edge is
+    /// evaluated once. `on_change(old, new)` is called for every edge whose
+    /// bits changed.
+    ///
+    /// `grid` is the *raw* grid: values are normalized on the fly by
+    /// `max_abs`, the per-attribute denominators these edges were built
+    /// with (`grid.attr_max_abs()` of the grid that was normalized), the
+    /// way [`crate::normalize_attributes`] divides every non-`Mode`
+    /// attribute with a positive maximum. Each edge is
+    /// [`variation_between_typed`] of its two cells — the scalar reference
+    /// the scan equals bit for bit — or `∓∞` by the null conventions above,
+    /// so a patched array equals [`EdgeVariations::build_with`] on the
+    /// normalized updated grid.
+    ///
+    /// # Panics
+    ///
+    /// When `grid` has another shape than these edges, or a `dirty` id is
+    /// not one of its cells.
+    pub fn patch_cells(
+        &mut self,
+        grid: &GridDataset,
+        max_abs: &[f64],
+        dirty: &[CellId],
+        mut on_change: impl FnMut(f64, f64),
+    ) -> usize {
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!((grid.rows(), grid.cols()), (rows, cols), "patch_cells: grid shape differs");
+        // The right edge of flat index `i` is key `2i`, its down edge
+        // `2i + 1`, so one sorted list covers both arrays.
+        let mut keys: Vec<usize> = Vec::with_capacity(dirty.len() * 4);
+        for &id in dirty {
+            let i = id as usize;
+            assert!(i < rows * cols, "patch_cells: cell {i} outside a {rows}×{cols} grid");
+            let (r, c) = (i / cols, i % cols);
+            if c > 0 {
+                keys.push(2 * (i - 1));
+            }
+            if c + 1 < cols {
+                keys.push(2 * i);
+            }
+            if r > 0 {
+                keys.push(2 * (i - cols) + 1);
+            }
+            if r + 1 < rows {
+                keys.push(2 * i + 1);
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+
+        let aggs = grid.agg_types();
+        let (mut fa, mut fb) = (vec![0.0; aggs.len()], vec![0.0; aggs.len()]);
+        for &key in &keys {
+            let a = key >> 1;
+            let (slot, b) =
+                if key & 1 == 0 { (&mut self.h[a], a + 1) } else { (&mut self.v[a], a + cols) };
+            let new = match (grid.is_valid(a as CellId), grid.is_valid(b as CellId)) {
+                (true, true) => {
+                    for (k, &agg) in aggs.iter().enumerate() {
+                        let plane = grid.attr_plane(k);
+                        let (mut x, mut y) = (plane[a], plane[b]);
+                        let m = max_abs[k];
+                        if agg != AggType::Mode && m > 0.0 {
+                            x /= m;
+                            y /= m;
+                        }
+                        fa[k] = x;
+                        fb[k] = y;
+                    }
+                    variation_between_typed(&fa, &fb, aggs)
+                }
+                (false, false) => f64::NEG_INFINITY,
+                _ => f64::INFINITY,
+            };
+            let old = std::mem::replace(slot, new);
+            if old.to_bits() != new.to_bits() {
+                on_change(old, new);
+            }
+        }
+        keys.len()
     }
 }
 
@@ -271,14 +350,10 @@ mod tests {
         assert!(e.h()[1..].iter().chain(e.v()).all(|x| x.is_infinite()));
     }
 
-    #[test]
-    fn plane_scan_matches_per_pair_gather() {
-        // Mixed schema with a Mode attribute and null holes: the plane-wise
-        // scan must reproduce variation_between_typed pair by pair, at any
-        // thread count.
-        let rows = 5;
-        let cols = 7;
-        let p = 3;
+    /// A 5×7 grid with an `Avg`, a `Sum` and a `Mode` attribute, negative
+    /// values and null holes.
+    fn mixed_grid() -> GridDataset {
+        let (rows, cols, p) = (5, 7, 3);
         let n = rows * cols;
         let mut data = Vec::with_capacity(n * p);
         let mut valid = Vec::with_capacity(n);
@@ -290,7 +365,7 @@ mod tests {
             }
             valid.push(i % 6 != 4);
         }
-        let g = GridDataset::new(
+        GridDataset::new(
             rows,
             cols,
             p,
@@ -301,7 +376,20 @@ mod tests {
             vec![false, false, false],
             Bounds::unit(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn plane_scan_matches_per_pair_gather() {
+        // Mixed schema with a Mode attribute and null holes: the plane-wise
+        // scan must reproduce variation_between_typed pair by pair, at any
+        // thread count.
+        let g = mixed_grid();
+        let (rows, cols) = (g.rows(), g.cols());
         let expect = |a: usize, b: usize| match (g.features(a as u32), g.features(b as u32)) {
             (Some(fa), Some(fb)) => variation_between_typed(&fa, &fb, g.agg_types()),
             (None, None) => f64::NEG_INFINITY,
@@ -322,5 +410,39 @@ mod tests {
             }
             assert!(finite > 0);
         }
+    }
+
+    #[test]
+    fn patching_every_cell_reproduces_the_scan() {
+        let g = mixed_grid();
+        let (rows, cols) = (g.rows(), g.cols());
+        let max_abs = g.attr_max_abs();
+        let built = EdgeVariations::build(&crate::normalize_attributes(&g));
+        let mut e = built.clone();
+        // Every cell, listed twice and out of order.
+        let all: Vec<CellId> = (0..g.num_cells() as CellId).rev().chain(0..3).collect();
+        let mut changed = 0;
+        let evaluated = e.patch_cells(&g, &max_abs, &all, |_, _| changed += 1);
+        assert_eq!(changed, 0, "an unchanged grid must patch to the same bits");
+        assert_eq!(evaluated, rows * (cols - 1) + (rows - 1) * cols, "every interior edge once");
+        assert_eq!(bits(e.h()), bits(built.h()));
+        assert_eq!(bits(e.v()), bits(built.v()));
+
+        // A nulled cell, a revived one and new values on all three
+        // attribute kinds patch to a fresh scan of the updated grid.
+        let mut u = g.clone();
+        u.set_null(8);
+        u.set_value(4, 0, 0.5);
+        u.set_valid(4);
+        u.set_value(9, 1, -0.25);
+        u.set_value(10, 2, 5.0);
+        assert_eq!(bits(&u.attr_max_abs()), bits(&max_abs), "denominators must not move");
+        let mut changes = Vec::new();
+        e.patch_cells(&u, &max_abs, &[8, 4, 9, 10], |old, new| changes.push((old, new)));
+        let fresh = EdgeVariations::build(&crate::normalize_attributes(&u));
+        assert_eq!(bits(e.h()), bits(fresh.h()));
+        assert_eq!(bits(e.v()), bits(fresh.v()));
+        assert!(changes.iter().all(|(old, new)| old.to_bits() != new.to_bits()));
+        assert!(!changes.is_empty());
     }
 }

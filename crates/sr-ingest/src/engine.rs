@@ -164,7 +164,7 @@ impl IngestEngine {
             self.accum.write_into(&mut self.grid, &dirty);
             points
         };
-        let scan = self.scan.update(&self.grid, &dirty);
+        let scan = self.scan.update(&self.grid, &dirty).map_err(IngestError::Core)?;
         for &id in &dirty {
             let slot = &mut self.pending_dirty[id as usize];
             if !*slot {

@@ -5,7 +5,7 @@
 //! directly, `Sum` group values are divided by the group's valid-member
 //! count. The representatives are precomputed per (group, attribute)
 //! when the snapshot is encoded, using the same
-//! [`sr_core::representative`] function as [`sr_core::reconstruct_grid`],
+//! [`sr_grid::representative`] function as [`sr_core::reconstruct_grid`],
 //! so a served value is bit-identical to the reconstructed grid's value
 //! for the same cell.
 //!

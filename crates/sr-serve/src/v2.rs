@@ -30,7 +30,7 @@
 //!   table, adjacency (CSR), valid-member counts, dense
 //!   representatives, centroids, and the packed Hilbert rectangle
 //!   index. The last four are *derived*: the encoder computes them
-//!   (`Derived`) with the same [`sr_core::representative`] arithmetic
+//!   (`Derived`) with the same [`sr_grid::representative`] arithmetic
 //!   as [`sr_core::reconstruct_grid`], so served values are
 //!   bit-identical to the reconstruction.
 //!
@@ -49,8 +49,8 @@ use crate::snapshot::{
     MAGIC, MAX_ATTRS, MAX_CELLS,
 };
 use crate::{Result, ServeError};
-use sr_core::{representative, GroupId, GroupRect, Partition};
-use sr_grid::{AdjacencyList, AggType, Bounds, CellId};
+use sr_core::{GroupId, GroupRect, Partition};
+use sr_grid::{representative, AdjacencyList, AggType, Bounds, CellId};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;

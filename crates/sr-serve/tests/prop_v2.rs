@@ -20,8 +20,8 @@
 //! the runs must be byte-for-byte identical too.
 
 use proptest::prelude::*;
-use sr_core::{repartition, representative};
-use sr_grid::{AggType, Bounds, GridDataset};
+use sr_core::repartition;
+use sr_grid::{representative, AggType, Bounds, GridDataset};
 use sr_serve::{
     engine_from_bytes, migrate_snapshot_bytes, peek_version, snapshot_from_bytes,
     snapshot_to_bytes, snapshot_to_bytes_v2, snapshot_v2_from_bytes, NearestGroup, PointAnswer,

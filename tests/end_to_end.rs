@@ -48,8 +48,9 @@ fn reconstruction_round_trips_every_dataset() {
         let out = repartition(&grid, 0.10).unwrap();
         let rec = out.repartitioned.reconstruct(&grid).expect("same shape");
         let ifl = information_loss(&grid, &rec, IflOptions::default()).unwrap();
-        assert!(
-            (ifl - out.repartitioned.ifl()).abs() < 1e-10,
+        assert_eq!(
+            ifl.to_bits(),
+            out.repartitioned.ifl().to_bits(),
             "{}: reconstruction IFL {ifl} != driver IFL {}",
             ds.name(),
             out.repartitioned.ifl()
