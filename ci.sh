@@ -107,15 +107,28 @@ echo "==> extension tiers (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline -p sr-core --test prop_extensions
 
 # The localized re-partitioning contract (docs/INGESTION.md, "The
-# localized walk"): run_localized over any dirty sequence is bit-identical
-# to the batch driver's hinted walk on the same inputs, at every thread
-# count. The sr-core unit tests and the engine-level property tests in
-# ingest_convergence both cover it; pinned here at both thread counts.
+# localized walk"): run_localized over any sequence of LocalizedState
+# writes is bit-identical to the batch driver's hinted walk on the same
+# grid, at every thread count. The sr-core unit tests and the
+# engine-level property tests in ingest_convergence both cover it;
+# pinned here at both thread counts.
 echo "==> localized repartition (SR_THREADS=1)"
 SR_THREADS=1 cargo test -q --offline -p sr-core localized
 
 echo "==> localized repartition (SR_THREADS=4)"
 SR_THREADS=4 cargo test -q --offline -p sr-core localized
+
+# The scan-input maintenance contract (docs/INGESTION.md §4): the scan
+# inputs a LocalizedState patches on every apply — edges, the variation
+# multiset and its thresholds, the valid-cell list and the Eq. 3 term
+# cache — equal a fresh build on the updated grid, bit for bit, through
+# value edits, validity flips and normalization rebuilds. Runs inside the
+# workspace passes too; pinned here at both thread counts.
+echo "==> incremental scan inputs (SR_THREADS=1)"
+SR_THREADS=1 cargo test -q --offline -p sr-core incremental
+
+echo "==> incremental scan inputs (SR_THREADS=4)"
+SR_THREADS=4 cargo test -q --offline -p sr-core incremental
 
 # Bench smoke: every bench target builds and runs each body exactly once
 # (SR_BENCH_SMOKE=1 skips calibration and suppresses JSON export, so the

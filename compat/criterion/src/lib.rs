@@ -208,8 +208,9 @@ impl Criterion {
         &self.results
     }
 
-    /// Writes the collected results as a JSON array to `path`. A no-op in
-    /// smoke mode: one-shot timings would overwrite real measurements.
+    /// Writes the collected results as a JSON array to `path` and reports
+    /// the write on stdout. A no-op in smoke mode: one-shot timings would
+    /// overwrite real measurements.
     pub fn export_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         if smoke_mode() {
             println!("smoke mode: skipping export to {}", path.as_ref().display());
@@ -229,7 +230,9 @@ impl Criterion {
             out.push_str(if i + 1 < self.results.len() { ",\n" } else { "\n" });
         }
         out.push_str("]\n");
-        std::fs::write(path, out)
+        std::fs::write(path.as_ref(), out)?;
+        println!("\nwrote {}", path.as_ref().display());
+        Ok(())
     }
 
     fn run_one<F: FnMut(&mut Bencher)>(

@@ -2,32 +2,34 @@
 //! (320×320 grid): raw binning throughput, the per-batch cost of keeping
 //! the scan inputs current *incrementally* versus the full recompute a
 //! batch pipeline pays, the exact-repartition cost with and without the
-//! maintained scan cache and the localized walk, and the in-memory half
+//! maintained scan inputs and the localized walk, and the in-memory half
 //! of a publish (snapshot build + v2 encode). Results are exported to
 //! `BENCH_ingest.json` at the workspace root.
 //!
 //! The acceptance bars (`docs/INGESTION.md` §7): at ≤10% dirty cells per
 //! batch, incremental maintenance (`ingest/maintain/incremental_*`: bin,
-//! collapse, patch the scan cache) must be at least 3× faster than the
+//! collapse, patch the scan inputs) must be at least 3× faster than the
 //! full recompute (`ingest/maintain/full_*`: bin, collapse, re-run the
 //! driver from scratch); and a localized 1%-dirty re-partition
 //! (`ingest/repartition/localized_1pct_dirty`) must be at least 8× faster
-//! than a cold walk over the same cached inputs
+//! than a cold walk over the same inputs
 //! (`ingest/repartition/scan_cached`).
 //!
 //! Delta values stay below the seeded per-attribute maximum on purpose:
 //! a new maximum re-normalizes every cell and forces the documented
 //! full scan rebuild (`docs/INGESTION.md` §4), which would benchmark the
-//! rebuild guard instead of the incremental path.
+//! rebuild guard instead of the incremental path. Cell 0 holds the
+//! maximum, a lone 200.0 point that no delta touches, and the measured
+//! bodies assert that no delta rebuilt the normalization.
 //!
 //! Run: `cargo bench -p sr-bench --bench ingest`
 
 use criterion::{black_box, Criterion};
-use sr_core::{IterationStrategy, LocalizedState, RepartitionConfig, Repartitioner, ScanCache};
+use sr_core::{IterationStrategy, LocalizedState, RepartitionConfig, Repartitioner};
 use sr_datasets::{Dataset, GridSize};
 use sr_grid::{Bounds, CellId, GridDataset, IflOptions};
 use sr_ingest::{CellAccumulators, IngestConfig, IngestEngine, IngestSchema, PointChunk};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 320;
 const COLS: usize = 320;
@@ -54,32 +56,39 @@ impl Rng {
     }
 }
 
-/// One point per cell with a smooth surface in [50, 150), plus a pinned
-/// 200.0 sample in cell 0 so later deltas (all < 190) never move the
-/// per-attribute maximum — the incremental path, not the rebuild guard,
-/// is what the deltas exercise.
+/// One point per cell with a smooth surface in [50, 150), except cell 0,
+/// which holds a lone pinned 200.0 sample: later deltas (all < 190, none
+/// in cell 0) never move the per-attribute maximum — the incremental
+/// path, not the rebuild guard, is what the deltas exercise.
 fn seed_chunk(rng: &mut Rng) -> PointChunk {
-    let mut chunk = PointChunk::with_capacity(ROWS * COLS + 1, 1);
+    let mut chunk = PointChunk::with_capacity(ROWS * COLS, 1);
     chunk.push(0.5 / COLS as f64, 0.5 / ROWS as f64, &[200.0]);
     for r in 0..ROWS {
         for c in 0..COLS {
             let x = (c as f64 + 0.5) / COLS as f64;
             let y = (r as f64 + 0.5) / ROWS as f64;
-            chunk.push(x, y, &[50.0 + 40.0 * x + 25.0 * y + 10.0 * rng.frac()]);
+            let v = 50.0 + 40.0 * x + 25.0 * y + 10.0 * rng.frac();
+            if r > 0 || c > 0 {
+                chunk.push(x, y, &[v]);
+            }
         }
     }
     chunk
 }
 
+/// A cell other than cell 0, which holds the pinned maximum.
+fn delta_cell(rng: &mut Rng) -> CellId {
+    1 + (rng.next() % (ROWS * COLS - 1) as u64) as CellId
+}
+
 /// A delta batch touching roughly `dirty` distinct cells, values in
-/// [50, 190) — below the pinned maximum.
+/// [50, 190) — below the pinned maximum, and never in its cell.
 fn delta_chunk(rng: &mut Rng, dirty: usize) -> PointChunk {
     let mut chunk = PointChunk::with_capacity(dirty, 1);
     for _ in 0..dirty {
-        let r = (rng.next() % ROWS as u64) as f64;
-        let c = (rng.next() % COLS as u64) as f64;
-        let x = (c + 0.5) / COLS as f64;
-        let y = (r + 0.5) / ROWS as f64;
+        let id = delta_cell(rng) as usize;
+        let x = ((id % COLS) as f64 + 0.5) / COLS as f64;
+        let y = ((id / COLS) as f64 + 0.5) / ROWS as f64;
         chunk.push(x, y, &[50.0 + 140.0 * rng.frac()]);
     }
     chunk
@@ -92,6 +101,18 @@ fn batch_driver() -> Repartitioner {
         .unwrap()
         .with_strategy(IterationStrategy::for_cells(ROWS * COLS));
     Repartitioner::with_config(cfg).unwrap()
+}
+
+/// Writes the collapsed values of the listed cells of a univariate
+/// schema into `grid` and marks them valid — how a batch pipeline
+/// materializes its grid.
+fn write_cells(accum: &CellAccumulators, grid: &mut GridDataset, cells: &[CellId]) {
+    let mut values = Vec::with_capacity(cells.len());
+    accum.collapse_into(cells, &mut values);
+    for (&id, &v) in cells.iter().zip(&values) {
+        grid.set_value(id, 0, v);
+        grid.set_valid(id);
+    }
 }
 
 /// The batch pipeline's state: accumulators + grid, recomputed from
@@ -109,7 +130,7 @@ impl BatchPipeline {
         let mut grid = schema.empty_grid(ROWS, COLS, Bounds::unit()).unwrap();
         let mut dirty = Vec::new();
         accum.bin_chunk(seed, &Bounds::unit(), &mut dirty);
-        accum.write_into(&mut grid, &dirty);
+        write_cells(&accum, &mut grid, &dirty);
         BatchPipeline { accum, grid, driver: batch_driver(), dirty }
     }
 
@@ -118,7 +139,7 @@ impl BatchPipeline {
     fn absorb(&mut self, delta: &PointChunk) -> usize {
         self.dirty.clear();
         self.accum.bin_chunk(delta, &Bounds::unit(), &mut self.dirty);
-        self.accum.write_into(&mut self.grid, &self.dirty);
+        write_cells(&self.accum, &mut self.grid, &self.dirty);
         self.driver.run(&self.grid).unwrap().repartitioned.num_groups()
     }
 }
@@ -143,7 +164,7 @@ fn main() {
             bench.iter(|| {
                 dirty.clear();
                 let n = accum.bin_chunk(black_box(&seed), &Bounds::unit(), &mut dirty);
-                accum.write_into(&mut grid, &dirty);
+                write_cells(&accum, &mut grid, &dirty);
                 n
             })
         });
@@ -155,7 +176,8 @@ fn main() {
         let deltas: Vec<PointChunk> = (0..DELTAS).map(|_| delta_chunk(&mut rng, dirty)).collect();
 
         // Incremental side: a warmed engine (seed batch + one exact
-        // re-partition) absorbs each delta by patching its scan inputs.
+        // re-partition) absorbs each delta by patching its scan inputs;
+        // no delta may rebuild the normalization.
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
         engine.apply_batch(&seed).unwrap();
@@ -166,6 +188,7 @@ fn main() {
         g.bench_function(format!("maintain/incremental_{pct}pct_dirty"), |bench| {
             bench.iter(|| {
                 let report = engine.apply_batch(&deltas[i % DELTAS]).unwrap();
+                assert!(!report.scan.rebuilt_normalization, "a delta moved the pinned maximum");
                 i += 1;
                 report.dirty_cells
             })
@@ -188,28 +211,33 @@ fn main() {
         g.finish();
     }
 
-    // Exact re-partition, with and without the maintained scan cache —
+    // Exact re-partition, with and without maintained scan inputs —
     // reported transparently: the threshold walk dominates both, so the
-    // cached variation scan is a modest (not 3×) win here. `scan_cached`
-    // times a cold localized walk (a fresh `LocalizedState`: every
-    // extraction a full scan, every group built) over the prebuilt cache,
-    // so the localized rows below have a stable baseline to be compared
-    // against.
+    // prebuilt variation scan is a modest (not 3×) win here. `scan_cached`
+    // times a cold localized walk (a fresh `LocalizedState`, built outside
+    // the timed window: every extraction a full scan, every group built)
+    // over prebuilt scan inputs, so the localized rows below have a stable
+    // baseline to be compared against.
     {
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
         engine.apply_batch(&seed).unwrap();
         let driver = batch_driver();
         let grid = engine.grid().clone();
-        let scan = ScanCache::build(&grid, IflOptions::default());
         let pool = sr_par::Pool::global();
         let mut g = c.benchmark_group("ingest");
         g.sample_size(10).measurement_time(Duration::from_secs(4));
         g.bench_function("repartition/scan_cached", |bench| {
-            bench.iter(|| {
-                let mut cold = LocalizedState::new();
-                let out = driver.run_localized(&grid, &scan, &mut cold, &[], pool).unwrap();
-                out.repartitioned.num_groups()
+            bench.iter_custom(|iters| {
+                let mut elapsed = Duration::ZERO;
+                for _ in 0..iters {
+                    let mut cold = LocalizedState::new(grid.clone(), IflOptions::default(), pool);
+                    let start = Instant::now();
+                    let out = driver.run_localized(&mut cold, pool).unwrap();
+                    elapsed += start.elapsed();
+                    black_box(out.repartitioned.num_groups());
+                }
+                elapsed
             })
         });
         g.bench_function("repartition/from_scratch", |bench| {
@@ -222,33 +250,25 @@ fn main() {
     // delta's dirty cells instead of re-walking the whole grid. This is
     // the headline row: cost proportional to the dirty region,
     // bit-identical to a batch run on the same grid. Each iteration
-    // mutates the grid and patches the scan cache *outside* the timed
-    // window (`iter_custom`) — those costs are the `maintain/incremental_*`
-    // rows — so the row times exactly what `scan_cached` times: one walk
-    // over patched inputs. Values stay below the pinned 200.0
-    // maximum so the scan cache patches in place (see the module docs).
+    // writes the delta through `LocalizedState::apply` (grid writes + scan
+    // patch) *outside* the timed window (`iter_custom`) — those costs are
+    // the `maintain/incremental_*` rows — so the row times exactly what
+    // `scan_cached` times: one walk over patched inputs. Values stay below
+    // the pinned 200.0 maximum and off its cell, so the scan inputs patch
+    // in place (see the module docs).
     {
         let mut engine =
             IngestEngine::new(IngestConfig::new(ROWS, COLS, schema.clone(), THETA)).unwrap();
         engine.apply_batch(&seed).unwrap();
-        let mut grid = engine.grid().clone();
         let driver = batch_driver();
-        let mut scan = ScanCache::build(&grid, IflOptions::default());
-        let mut state = LocalizedState::new();
         let pool = sr_par::Pool::global();
-        driver.run_localized(&grid, &scan, &mut state, &[], pool).unwrap();
+        let mut state = LocalizedState::new(engine.grid().clone(), IflOptions::default(), pool);
+        driver.run_localized(&mut state, pool).unwrap();
         for pct in [1usize, 10] {
             let dirty = ROWS * COLS * pct / 100;
-            let deltas: Vec<Vec<(CellId, f64)>> = (0..DELTAS)
+            let deltas: Vec<(Vec<CellId>, Vec<f64>)> = (0..DELTAS)
                 .map(|_| {
-                    (0..dirty)
-                        .map(|_| {
-                            // Never cell 0 — it holds the pinned maximum;
-                            // overwriting it would hit the rebuild guard.
-                            let id = 1 + (rng.next() % (ROWS * COLS - 1) as u64) as CellId;
-                            (id, 50.0 + 140.0 * rng.frac())
-                        })
-                        .collect()
+                    (0..dirty).map(|_| (delta_cell(&mut rng), 50.0 + 140.0 * rng.frac())).unzip()
                 })
                 .collect();
             let mut i = 0usize;
@@ -258,17 +278,12 @@ fn main() {
                 bench.iter_custom(|iters| {
                     let mut elapsed = Duration::ZERO;
                     for _ in 0..iters {
-                        let delta = &deltas[i % DELTAS];
+                        let (cells, values) = &deltas[i % DELTAS];
                         i += 1;
-                        for &(id, v) in delta {
-                            grid.set_value(id, 0, v);
-                        }
-                        let dirty_ids: Vec<CellId> = delta.iter().map(|&(id, _)| id).collect();
-                        scan.update(&grid, &dirty_ids).unwrap();
-                        let start = std::time::Instant::now();
-                        let out = driver
-                            .run_localized(&grid, &scan, &mut state, &dirty_ids, pool)
-                            .unwrap();
+                        let update = state.apply(cells, values).unwrap();
+                        assert!(!update.rebuilt_normalization, "a delta moved the pinned maximum");
+                        let start = Instant::now();
+                        let out = driver.run_localized(&mut state, pool).unwrap();
                         elapsed += start.elapsed();
                         black_box(out.repartitioned.num_groups());
                     }
@@ -307,5 +322,4 @@ fn main() {
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     c.export_json(out).expect("write BENCH_ingest.json");
-    println!("\nwrote {out}");
 }

@@ -101,5 +101,4 @@ fn main() {
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     c.export_json(out).expect("write BENCH_serve.json");
-    println!("\nwrote {out}");
 }

@@ -130,5 +130,4 @@ fn main() {
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
     c.export_json(out).expect("write BENCH_shard.json");
-    println!("\nwrote {out}");
 }

@@ -12,10 +12,11 @@
 //!    hardware-parallelism cap in `sr-par` exists to prevent.
 //!
 //! 3. **Incremental**: one localized re-partition round over a 1%-dirty
-//!    320×320 grid (value writes + scan-cache patch +
-//!    [`Repartitioner::run_localized`] on a warmed state) must finish
-//!    within `SR_GATE_MAX_INCR_MS` milliseconds — the regression gate for
-//!    the dirty-region walk (`docs/PERFORMANCE.md`).
+//!    320×320 grid ([`LocalizedState::apply`] — value writes + scan patch
+//!    — then [`Repartitioner::run_localized`] on a warmed state) must
+//!    finish within `SR_GATE_MAX_INCR_MS` milliseconds — the regression
+//!    gate for the dirty-region walk (`docs/PERFORMANCE.md`). No round may
+//!    rebuild the normalization: the gate times the patch path.
 //!
 //! All thresholds are env-overridable because wall-clock gates are
 //! hardware statements: the defaults (250 ms, 1.25×, 40 ms) are sized for
@@ -29,13 +30,12 @@
 //!
 //! The timing loops double as determinism checks: the t1 and t4 runs
 //! must produce bit-identical outcomes, and the last localized round must
-//! match the batch driver's hinted walk — a cold walk over a freshly built
-//! scan cache — on the same grid, or the timings compare different work
+//! match the batch driver's hinted walk — a cold walk over freshly built
+//! scan inputs — on the same grid, or the timings compare different work
 //! and the gate aborts.
 
 use sr_core::{
     IterationStrategy, LocalizedState, RepartitionConfig, RepartitionOutcome, Repartitioner,
-    ScanCache,
 };
 use sr_datasets::{Dataset, GridSize};
 use sr_grid::{CellId, GridDataset, IflOptions};
@@ -116,8 +116,8 @@ fn main() {
     // Gate 3: localized incremental rounds on a warmed state — a smooth
     // 320×320 univariate surface with a pinned maximum (so scan updates
     // patch in place), 1% of the cells rewritten per round. Each timed
-    // round is the full incremental unit of work: value writes + scan
-    // patch + localized driver run.
+    // round is the full incremental unit of work: `apply` (value writes +
+    // scan patch) + localized driver run.
     let max_incr_ms = env_f64("SR_GATE_MAX_INCR_MS", 40.0);
     let (rows, cols) = (320usize, 320usize);
     let n = rows * cols;
@@ -131,30 +131,26 @@ fn main() {
         }
     }
     vals[0] = 200.0; // pinned maximum: deltas below never move normalization
-    let mut igrid = GridDataset::univariate(rows, cols, vals).unwrap();
+    let igrid = GridDataset::univariate(rows, cols, vals).unwrap();
     let pool = sr_par::Pool::global();
-    let mut scan = ScanCache::build(&igrid, IflOptions::default());
-    let mut state = LocalizedState::new();
-    drv.run_localized(&igrid, &scan, &mut state, &[], pool).unwrap();
+    let mut state = LocalizedState::new(igrid, IflOptions::default(), pool);
+    drv.run_localized(&mut state, pool).unwrap();
     let mut incr_ms = f64::INFINITY;
     let mut last: Option<(Option<f64>, RepartitionOutcome)> = None;
     for _ in 0..SAMPLES {
         let mut dirty: Vec<CellId> = Vec::with_capacity(n / 100);
-        let mut writes: Vec<(CellId, f64)> = Vec::with_capacity(n / 100);
+        let mut values: Vec<f64> = Vec::with_capacity(n / 100);
         for _ in 0..n / 100 {
             // Never cell 0 — it holds the pinned maximum.
-            let id = 1 + (rng.next() % (n - 1) as u64) as CellId;
-            writes.push((id, 50.0 + 140.0 * rng.frac()));
-            dirty.push(id);
+            dirty.push(1 + (rng.next() % (n - 1) as u64) as CellId);
+            values.push(50.0 + 140.0 * rng.frac());
         }
-        let hint = state.planned_hint(dirty.len(), n);
         let t = Instant::now();
-        for &(id, v) in &writes {
-            igrid.set_value(id, 0, v);
-        }
-        scan.update(&igrid, &dirty).unwrap();
-        let out = drv.run_localized(&igrid, &scan, &mut state, &dirty, pool).unwrap();
+        let update = state.apply(&dirty, &values).unwrap();
+        let hint = state.planned_hint();
+        let out = drv.run_localized(&mut state, pool).unwrap();
         incr_ms = incr_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        assert!(!update.rebuilt_normalization, "a gate round moved the pinned maximum");
         last = Some((hint, out));
     }
     println!(
@@ -165,7 +161,7 @@ fn main() {
     // Determinism cross-check: the last localized round must equal the
     // batch driver's hinted walk over the same patched grid.
     let (hint, out) = last.unwrap();
-    let reference = drv.run_with_pool_warm(&igrid, pool, hint).unwrap();
+    let reference = drv.run_with_pool_warm(state.grid(), pool, hint).unwrap();
     let (rl, rr) = (&out.repartitioned, &reference.repartitioned);
     assert_eq!(rl.num_groups(), rr.num_groups(), "localized/batch group counts differ");
     assert_eq!(rl.ifl().to_bits(), rr.ifl().to_bits(), "localized/batch IFL bits differ");

@@ -3,13 +3,14 @@
 //!
 //! The threshold walk reads four partition-independent inputs derived
 //! from the grid: the normalized edge variations, the sorted distinct
-//! variation thresholds, the valid-cell list, and the Eq. 3 per-cell term
-//! cache. All four are *local* functions of cell values (an edge depends
-//! on two cells; a term row on one), so after a batch of cell updates they
-//! can be patched in place instead of recomputed.
+//! variation thresholds, the valid-cell list (with its cell → position
+//! index), and the Eq. 3 per-cell term cache. All four are *local*
+//! functions of cell values (an edge depends on two cells; a term row on
+//! one), so after a batch of cell updates they can be patched in place
+//! instead of recomputed.
 //!
-//! [`ScanCache`] holds these four inputs and keeps them **bit-identical**
-//! to what a from-scratch run would compute on the updated grid:
+//! `ScanCache` holds these inputs and keeps them **bit-identical** to what
+//! a from-scratch build would compute on the updated grid:
 //!
 //! - Edges incident to dirty cells are re-evaluated by
 //!   [`EdgeVariations::patch_cells`], which computes each with Eq. 1's
@@ -30,28 +31,31 @@
 //!   outright: the former invalidates every edge (edges + threshold
 //!   multiset are rebuilt; the cell list and term cache are kept — their
 //!   rows depend on raw values and `zero_eps`, never on normalization),
-//!   the latter shifts every cell position after the change (cell list +
-//!   term cache are rebuilt). Each fallback recomputes exactly what
-//!   [`ScanCache::build`] computes for that structure, so correctness never
-//!   depends on the guards being precise — only speed does.
+//!   the latter shifts every cell position after the change (cell list,
+//!   position index and term cache are rebuilt). Each fallback recomputes
+//!   exactly what a fresh build computes for that structure, so
+//!   correctness never depends on the guards being precise — only speed
+//!   does.
 //!
 //! Every threshold walk reads its inputs from a `ScanCache`: a batch
-//! [`Repartitioner::run`] builds one from scratch and walks it cold, and
-//! [`Repartitioner::run_localized`] walks a maintained one — equal inputs,
-//! equal partition bits.
+//! [`Repartitioner::run`] builds one from scratch and walks it cold, and a
+//! [`LocalizedState`] owns one next to its grid and patches it on every
+//! [`LocalizedState::apply`] — equal inputs, equal partition bits.
 //!
 //! [`Repartitioner::run`]: crate::repartition::Repartitioner::run
-//! [`Repartitioner::run_localized`]: crate::repartition::Repartitioner::run_localized
+//! [`LocalizedState`]: crate::localized::LocalizedState
+//! [`LocalizedState::apply`]: crate::localized::LocalizedState::apply
 //! [`VariationHeap::into_sorted_distinct`]: crate::heap::VariationHeap::into_sorted_distinct
 //! [`VariationHeap::from_grid_with`]: crate::heap::VariationHeap::from_grid_with
 
 use crate::heap::{finite_edges, push_distinct, sort_key, DEFAULT_DEDUP_EPS};
 use crate::ifl::IflCellCache;
-use crate::{CoreError, Result};
-use sr_grid::{normalize_attributes, CellId, EdgeVariations, GridDataset, GridError, IflOptions};
+use sr_grid::{normalize_attributes, CellId, EdgeVariations, GridDataset, IflOptions};
 
-/// Report of one [`ScanCache::update`] call — how much work the patch
-/// actually did, for telemetry and for tests that pin the fast path.
+/// Report of one [`LocalizedState::apply`] call — how much work the scan
+/// patch actually did, for telemetry and for tests that pin the fast path.
+///
+/// [`LocalizedState::apply`]: crate::localized::LocalizedState::apply
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanUpdate {
     /// Distinct dirty cells processed.
@@ -70,7 +74,7 @@ pub struct ScanUpdate {
 /// Incrementally maintained scan inputs of the re-partitioning driver (see
 /// the module docs for the invariants).
 #[derive(Debug, Clone)]
-pub struct ScanCache {
+pub(crate) struct ScanCache {
     ifl_options: IflOptions,
     /// Per-attribute normalization denominators the cached edges were
     /// computed with; compared bit-for-bit on update.
@@ -85,20 +89,15 @@ pub struct ScanCache {
     /// Valid cells, ascending (the order [`GridDataset::valid_cells`]
     /// yields).
     cells: Vec<CellId>,
-    /// Bumped whenever `cells` is rebuilt (validity changed); lets callers
-    /// cache structures derived from the cell list across updates.
-    cells_generation: u64,
+    /// Flat cell index → position in `cells` (`u32::MAX` for invalid
+    /// cells); rebuilt with `cells`.
+    pos_of: Vec<u32>,
     ifl_cache: IflCellCache,
 }
 
 impl ScanCache {
-    /// Builds the cache from scratch on [`sr_par::Pool::global`].
-    pub fn build(grid: &GridDataset, opts: IflOptions) -> Self {
-        Self::build_with(grid, opts, sr_par::Pool::global())
-    }
-
-    /// [`ScanCache::build`] on an explicit pool.
-    pub fn build_with(grid: &GridDataset, opts: IflOptions, pool: &sr_par::Pool) -> Self {
+    /// Builds the cache from scratch.
+    pub(crate) fn build_with(grid: &GridDataset, opts: IflOptions, pool: &sr_par::Pool) -> Self {
         Self::from_normalized(grid, &normalize_attributes(grid), opts, pool)
     }
 
@@ -118,46 +117,33 @@ impl ScanCache {
             max_abs: grid.attr_max_abs(),
             edges,
             raw,
+            pos_of: position_index(grid.num_cells(), &cells),
             cells,
-            cells_generation: 0,
             ifl_cache,
         }
     }
 
-    /// Patches the cache after `grid` changed in the listed cells (values
-    /// and/or validity), on [`sr_par::Pool::global`]. `grid` must already
-    /// hold the new state; `dirty` may contain duplicates and need not be
-    /// sorted, but must cover every changed cell — a missed cell silently
-    /// desynchronizes the cache. An id outside the grid is an error, and
-    /// the cache is left untouched.
-    pub fn update(&mut self, grid: &GridDataset, dirty: &[CellId]) -> Result<ScanUpdate> {
-        self.update_with(grid, dirty, sr_par::Pool::global())
-    }
-
-    /// [`ScanCache::update`] on an explicit pool (used by the rebuild
-    /// fallbacks; the in-place patch itself is serial).
-    pub fn update_with(
+    /// Patches the cache after `grid` changed in the `dirty` cells (values
+    /// and/or validity). `grid` must already hold the new state, and
+    /// `dirty` must be ascending and distinct, name only cells of `grid`,
+    /// and cover every changed cell — which
+    /// [`LocalizedState::apply`] guarantees, the only caller outside the
+    /// tests. The in-place patch is serial; `pool` runs the rebuild
+    /// fallbacks.
+    ///
+    /// [`LocalizedState::apply`]: crate::localized::LocalizedState::apply
+    pub(crate) fn update(
         &mut self,
         grid: &GridDataset,
         dirty: &[CellId],
         pool: &sr_par::Pool,
-    ) -> Result<ScanUpdate> {
-        check_dirty(grid, dirty)?;
-        if dirty.is_empty() {
-            return Ok(ScanUpdate::default());
-        }
-
-        let mut dirty_sorted: Vec<CellId> = dirty.to_vec();
-        dirty_sorted.sort_unstable();
-        dirty_sorted.dedup();
-
+    ) -> ScanUpdate {
         // Guard 2: validity changes shift every subsequent cell's position
         // in the valid-cell list, so the list and the position-indexed term
         // cache are rebuilt. (Edges still patch incrementally below — the
         // per-edge recompute reads validity itself.)
-        let validity_changed = dirty_sorted
-            .iter()
-            .any(|&id| self.cells.binary_search(&id).is_ok() != grid.is_valid(id));
+        let validity_changed =
+            dirty.iter().any(|&id| (self.pos_of[id as usize] != u32::MAX) != grid.is_valid(id));
 
         // Guard 1: a normalization denominator moved — every edge value
         // changes, so patching the edge array is pointless and it is rebuilt
@@ -168,8 +154,8 @@ impl ScanCache {
         // only, never the normalization, so they fall through to the same
         // validity-gated patch as the incremental path below.
         let max_abs = grid.attr_max_abs();
-        let denominators_moved = self.max_abs.len() != max_abs.len()
-            || self.max_abs.iter().zip(&max_abs).any(|(a, b)| a.to_bits() != b.to_bits());
+        let denominators_moved =
+            self.max_abs.iter().zip(&max_abs).any(|(a, b)| a.to_bits() != b.to_bits());
         let recomputed = if denominators_moved {
             self.max_abs = max_abs;
             let (edges, raw) = rebuild_edges(&normalize_attributes(grid), pool);
@@ -179,15 +165,14 @@ impl ScanCache {
         } else {
             let mut removals: Vec<f64> = Vec::new();
             let mut insertions: Vec<f64> = Vec::new();
-            let recomputed =
-                self.edges.patch_cells(grid, &self.max_abs, &dirty_sorted, |old, new| {
-                    if old.is_finite() {
-                        removals.push(old);
-                    }
-                    if new.is_finite() {
-                        insertions.push(new);
-                    }
-                });
+            let recomputed = self.edges.patch_cells(grid, &self.max_abs, dirty, |old, new| {
+                if old.is_finite() {
+                    removals.push(old);
+                }
+                if new.is_finite() {
+                    insertions.push(new);
+                }
+            });
             self.apply_multiset_delta(&mut removals, &mut insertions);
             recomputed
         };
@@ -195,22 +180,23 @@ impl ScanCache {
         if validity_changed {
             self.cells.clear();
             self.cells.extend(grid.valid_cells());
-            self.cells_generation += 1;
+            self.pos_of = position_index(grid.num_cells(), &self.cells);
             self.ifl_cache = IflCellCache::build(grid, &self.cells, self.ifl_options);
         } else {
-            for &id in &dirty_sorted {
-                if let Ok(pos) = self.cells.binary_search(&id) {
-                    self.ifl_cache.update_row(grid, pos, id, self.ifl_options);
+            for &id in dirty {
+                let pos = self.pos_of[id as usize];
+                if pos != u32::MAX {
+                    self.ifl_cache.update_row(grid, pos as usize, id, self.ifl_options);
                 }
             }
         }
 
-        Ok(ScanUpdate {
-            dirty_cells: dirty_sorted.len(),
+        ScanUpdate {
+            dirty_cells: dirty.len(),
             edges_recomputed: recomputed,
             rebuilt_normalization: denominators_moved,
             rebuilt_cells: validity_changed,
-        })
+        }
     }
 
     /// Single-pass rewrite of the sorted multiset: drop one occurrence per
@@ -241,8 +227,9 @@ impl ScanCache {
         self.raw = out;
     }
 
-    /// Regenerates the ascending distinct thresholds with the dedup loop
-    /// of [`VariationHeap::into_sorted_distinct`], so an equal multiset
+    /// Regenerates the ascending distinct thresholds into `out` (cleared
+    /// first) with the dedup loop of
+    /// [`VariationHeap::into_sorted_distinct`], so an equal multiset
     /// yields bit-equal thresholds.
     ///
     /// `raw` is already maintained in the heap's total order, and the
@@ -253,15 +240,7 @@ impl ScanCache {
     /// test pins the bit equality against a from-scratch heap).
     ///
     /// [`VariationHeap::into_sorted_distinct`]: crate::heap::VariationHeap::into_sorted_distinct
-    pub fn sorted_distinct_thresholds(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.raw.len());
-        self.sorted_distinct_thresholds_into(&mut out);
-        out
-    }
-
-    /// [`ScanCache::sorted_distinct_thresholds`] into a caller-owned buffer
-    /// (cleared first), so per-run callers can reuse the allocation.
-    pub fn sorted_distinct_thresholds_into(&self, out: &mut Vec<f64>) {
+    pub(crate) fn sorted_distinct_thresholds_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.raw.len());
         push_distinct(&self.raw, f64::NEG_INFINITY, DEFAULT_DEDUP_EPS, out);
@@ -277,12 +256,10 @@ impl ScanCache {
         &self.cells
     }
 
-    /// Generation counter of [`ScanCache::cells`]: bumped on every rebuild
-    /// of the list, stable across pure value patches. Structures derived
-    /// from the list (e.g. a cell → position index) stay valid while this
-    /// and the list length are unchanged on the same cache object.
-    pub(crate) fn cells_generation(&self) -> u64 {
-        self.cells_generation
+    /// Flat cell index → position in [`ScanCache::cells`] (`u32::MAX` for
+    /// invalid cells).
+    pub(crate) fn pos_of(&self) -> &[u32] {
+        &self.pos_of
     }
 
     /// The maintained Eq. 3 term cache.
@@ -291,25 +268,15 @@ impl ScanCache {
     }
 
     /// The IFL options the term cache was built with.
-    pub fn ifl_options(&self) -> IflOptions {
+    pub(crate) fn ifl_options(&self) -> IflOptions {
         self.ifl_options
-    }
-
-    /// Number of valid cells currently tracked.
-    pub fn num_valid_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Size of the finite-variation multiset (= valid–valid adjacent pairs).
-    pub fn num_variations(&self) -> usize {
-        self.raw.len()
     }
 }
 
 /// Recomputes the full edge array and the sorted finite-variation multiset
 /// of a normalized grid from scratch — exactly what
 /// [`ScanCache::build_with`] computes, shared with the denominator-move
-/// path of [`ScanCache::update_with`].
+/// path of [`ScanCache::update`].
 fn rebuild_edges(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariations, Vec<f64>) {
     let edges = EdgeVariations::build_with(normalized, pool);
     let mut raw = finite_edges(&edges);
@@ -317,24 +284,22 @@ fn rebuild_edges(normalized: &GridDataset, pool: &sr_par::Pool) -> (EdgeVariatio
     (edges, raw)
 }
 
-/// Rejects a dirty list naming a cell outside `grid` — caller input on
-/// the public update and localized-run entry points, checked before any
-/// state is touched.
-pub(crate) fn check_dirty(grid: &GridDataset, dirty: &[CellId]) -> Result<()> {
-    if dirty.iter().any(|&id| id as usize >= grid.num_cells()) {
-        return Err(CoreError::Grid(GridError::DimensionMismatch {
-            context: "dirty cell id out of range",
-        }));
+/// The cell → position index of an ascending valid-cell list over an
+/// `n`-cell grid.
+fn position_index(n: usize, cells: &[CellId]) -> Vec<u32> {
+    let mut pos_of = vec![u32::MAX; n];
+    for (i, &id) in cells.iter().enumerate() {
+        pos_of[id as usize] = i as u32;
     }
-    Ok(())
+    pos_of
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::heap::VariationHeap;
-    use crate::localized::LocalizedState;
-    use crate::repartition::Repartitioner;
+    use crate::localized::WalkCaches;
+    use crate::repartition::{RepartitionOutcome, Repartitioner};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn random_grid(rows: usize, cols: usize, seed: u64) -> GridDataset {
@@ -349,23 +314,55 @@ mod tests {
         g
     }
 
-    fn assert_cache_fresh(cache: &ScanCache, grid: &GridDataset) {
-        let fresh = ScanCache::build(grid, cache.ifl_options());
+    fn build(grid: &GridDataset, opts: IflOptions) -> ScanCache {
+        ScanCache::build_with(grid, opts, sr_par::Pool::global())
+    }
+
+    /// [`ScanCache::update`] over a dirty list in the form
+    /// `LocalizedState::apply` hands it: ascending and distinct.
+    fn update(cache: &mut ScanCache, grid: &GridDataset, dirty: &[CellId]) -> ScanUpdate {
+        let mut sorted = dirty.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        cache.update(grid, &sorted, sr_par::Pool::global())
+    }
+
+    fn thresholds(cache: &ScanCache) -> Vec<f64> {
+        let mut out = Vec::new();
+        cache.sorted_distinct_thresholds_into(&mut out);
+        out
+    }
+
+    /// A cold walk (fresh caches, no dirt) over `cache` — the batch
+    /// driver's walk, over the given scan inputs instead of a fresh build.
+    fn cold_walk(
+        driver: &Repartitioner,
+        grid: &GridDataset,
+        cache: &ScanCache,
+    ) -> RepartitionOutcome {
+        let mut caches = WalkCaches::default();
+        caches.begin_run(cache);
+        let pool = sr_par::Pool::global();
+        driver.walk_localized(grid, cache, &mut caches, &[], None, pool).0
+    }
+
+    /// Asserts that `cache` holds exactly what a fresh build on `grid`
+    /// holds.
+    pub(crate) fn assert_cache_fresh(cache: &ScanCache, grid: &GridDataset) {
+        let fresh = build(grid, cache.ifl_options());
         assert_eq!(cache.cells, fresh.cells);
+        assert_eq!(cache.pos_of, fresh.pos_of);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(cache.edges.h()), bits(fresh.edges.h()), "h edges diverged");
         assert_eq!(bits(cache.edges.v()), bits(fresh.edges.v()), "v edges diverged");
         assert_eq!(bits(&cache.raw), bits(&fresh.raw), "variation multiset diverged");
-        assert_eq!(
-            bits(&cache.sorted_distinct_thresholds()),
-            bits(&fresh.sorted_distinct_thresholds())
-        );
+        assert_eq!(bits(&thresholds(cache)), bits(&thresholds(&fresh)));
     }
 
     #[test]
     fn value_updates_patch_to_fresh_build() {
         let mut g = random_grid(10, 12, 1);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         let mut rng = SmallRng::seed_from_u64(2);
         for round in 0..8 {
             let dirty: Vec<CellId> =
@@ -373,7 +370,7 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 80.0 + rng.gen_range(0.0..40.0));
             }
-            let report = cache.update(&g, &dirty).unwrap();
+            let report = update(&mut cache, &g, &dirty);
             assert!(!report.rebuilt_normalization, "round {round} hit the rebuild guard");
             assert!(report.edges_recomputed > 0);
             assert_cache_fresh(&cache, &g);
@@ -383,15 +380,15 @@ mod tests {
     #[test]
     fn validity_flips_rebuild_cells_but_patch_edges() {
         let mut g = random_grid(8, 8, 3);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         g.set_null(27);
-        let report = cache.update(&g, &[27]).unwrap();
+        let report = update(&mut cache, &g, &[27]);
         assert!(report.rebuilt_cells);
         assert!(!report.rebuilt_normalization);
         assert_cache_fresh(&cache, &g);
         g.set_value(27, 0, 105.0);
         g.set_valid(27);
-        let report = cache.update(&g, &[27]).unwrap();
+        let report = update(&mut cache, &g, &[27]);
         assert!(report.rebuilt_cells);
         assert_cache_fresh(&cache, &g);
     }
@@ -399,9 +396,9 @@ mod tests {
     #[test]
     fn denominator_move_rebuilds_edges_but_keeps_cells() {
         let mut g = random_grid(6, 6, 4);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         g.set_value(10, 0, 1e6);
-        let report = cache.update(&g, &[10]).unwrap();
+        let report = update(&mut cache, &g, &[10]);
         assert!(report.rebuilt_normalization);
         // A magnitude bump alone must not rebuild the cell list or the term
         // cache: their rows read raw values, not normalized ones.
@@ -413,9 +410,8 @@ mod tests {
         // patched cache cold against a from-scratch batch run on the
         // bumped grid.
         let driver = Repartitioner::new(0.08).unwrap();
-        let pool = sr_par::Pool::global();
-        let inc = driver.run_localized(&g, &cache, &mut LocalizedState::new(), &[], pool).unwrap();
-        let full = driver.run_with_pool(&g, pool).unwrap();
+        let inc = cold_walk(&driver, &g, &cache);
+        let full = driver.run_with_pool(&g, sr_par::Pool::global()).unwrap();
         assert_eq!(inc.repartitioned.ifl().to_bits(), full.repartitioned.ifl().to_bits());
         assert_eq!(
             inc.repartitioned.partition().cell_to_group(),
@@ -426,21 +422,21 @@ mod tests {
     #[test]
     fn denominator_move_with_validity_flip_rebuilds_both() {
         let mut g = random_grid(6, 6, 9);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         g.set_value(10, 0, 1e6);
         g.set_null(20);
-        let report = cache.update(&g, &[10, 20]).unwrap();
+        let report = update(&mut cache, &g, &[10, 20]);
         assert!(report.rebuilt_normalization);
         assert!(report.rebuilt_cells);
         assert_cache_fresh(&cache, &g);
     }
 
-    /// A cold localized walk (fresh state) over the patched cache must
-    /// reproduce a batch run, which builds its cache from scratch.
+    /// A cold walk (fresh caches) over the patched cache must reproduce a
+    /// batch run, which builds its cache from scratch.
     #[test]
     fn cold_localized_walk_over_patched_cache_matches_batch_run() {
         let mut g = random_grid(12, 12, 5);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         let mut rng = SmallRng::seed_from_u64(6);
         let driver = Repartitioner::new(0.08).unwrap();
         for _ in 0..4 {
@@ -449,11 +445,9 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 90.0 + rng.gen_range(0.0..20.0));
             }
-            cache.update(&g, &dirty).unwrap();
-            let pool = sr_par::Pool::global();
-            let inc =
-                driver.run_localized(&g, &cache, &mut LocalizedState::new(), &[], pool).unwrap();
-            let full = driver.run_with_pool(&g, pool).unwrap();
+            update(&mut cache, &g, &dirty);
+            let inc = cold_walk(&driver, &g, &cache);
+            let full = driver.run_with_pool(&g, sr_par::Pool::global()).unwrap();
             assert_eq!(
                 inc.repartitioned.partition().cell_to_group(),
                 full.repartitioned.partition().cell_to_group()
@@ -465,7 +459,7 @@ mod tests {
     #[test]
     fn thresholds_match_variation_heap() {
         let mut g = random_grid(10, 14, 8);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
+        let mut cache = build(&g, IflOptions::default());
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..4 {
             let dirty: Vec<CellId> =
@@ -473,78 +467,13 @@ mod tests {
             for &id in &dirty {
                 g.set_value(id, 0, 80.0 + rng.gen_range(0.0..40.0));
             }
-            cache.update(&g, &dirty).unwrap();
-            let direct = cache.sorted_distinct_thresholds();
+            update(&mut cache, &g, &dirty);
+            let direct = thresholds(&cache);
             // A from-scratch scan of the updated grid: a fresh edge scan,
             // the heap's own sort, and its dedup.
             let heap = VariationHeap::from_grid(&normalize_attributes(&g)).into_sorted_distinct();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&direct), bits(&heap), "patched thresholds diverged from a fresh heap");
         }
-    }
-
-    #[test]
-    fn mismatched_ifl_options_are_rejected() {
-        let g = random_grid(4, 4, 7);
-        let cache = ScanCache::build(&g, IflOptions { zero_eps: 0.5 });
-        let driver = Repartitioner::new(0.1).unwrap();
-        let err = driver.run_localized(
-            &g,
-            &cache,
-            &mut LocalizedState::new(),
-            &[],
-            sr_par::Pool::global(),
-        );
-        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
-    }
-
-    /// A cache built for another grid shape, or for the same shape with a
-    /// different valid-cell set size, is refused instead of being indexed
-    /// with the grid's shape.
-    #[test]
-    fn cache_of_another_grid_is_rejected() {
-        let driver = Repartitioner::new(0.1).unwrap();
-        let run = |grid: &GridDataset, cache: &ScanCache| {
-            driver.run_localized(
-                grid,
-                cache,
-                &mut LocalizedState::new(),
-                &[],
-                sr_par::Pool::global(),
-            )
-        };
-        // Same cell count, other shape: 10×10 cache on a 5×20 grid.
-        let cache = ScanCache::build(&random_grid(10, 10, 1), IflOptions::default());
-        let err = run(&random_grid(5, 20, 2), &cache);
-        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
-        // Fewer cells: a 6×6 cache on a 10×10 grid.
-        let cache = ScanCache::build(&random_grid(6, 6, 3), IflOptions::default());
-        let err = run(&random_grid(10, 10, 4), &cache);
-        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
-        // Same shape, a cell nulled after the cache was built (the update
-        // that would have rebuilt the cell list never ran).
-        let mut g = random_grid(8, 8, 5);
-        let cache = ScanCache::build(&g, IflOptions::default());
-        g.set_null(9);
-        let err = run(&g, &cache);
-        assert!(matches!(err, Err(crate::CoreError::ScanCacheMismatch)));
-    }
-
-    /// A dirty id outside the grid is refused where it enters, before any
-    /// state is touched: by the cache update and by the localized run.
-    #[test]
-    fn out_of_range_dirty_ids_are_rejected() {
-        let g = random_grid(4, 4, 12);
-        let mut cache = ScanCache::build(&g, IflOptions::default());
-        let out_of_range = crate::CoreError::Grid(GridError::DimensionMismatch {
-            context: "dirty cell id out of range",
-        });
-        assert_eq!(cache.update(&g, &[3, 99]).unwrap_err(), out_of_range);
-        assert_cache_fresh(&cache, &g);
-        let driver = Repartitioner::new(0.1).unwrap();
-        let err = driver
-            .run_localized(&g, &cache, &mut LocalizedState::new(), &[99], sr_par::Pool::global())
-            .unwrap_err();
-        assert_eq!(err, out_of_range);
     }
 }

@@ -27,7 +27,7 @@
 //! Each step has one implementation, the one the driver's threshold walk
 //! ([`localized`]) runs; the public stage functions above call the same
 //! kernels, so a stage run on its own reproduces the driver's bits. Eq. 1
-//! and Eq. 3 live in sr-grid: the scan cache's edge patch and the
+//! and Eq. 3 live in sr-grid: the scan inputs' edge patch and the
 //! [`quadtree`] read the [`EdgeVariations`](sr_grid::EdgeVariations) scan,
 //! and [`partition_ifl`], the [`streaming`] tier and reconstruction use
 //! [`sr_grid::loss`]'s term rule, per-cell subtotal, fold and
@@ -40,6 +40,12 @@
 //! ([`prepare`]), and reconstruction of per-cell values
 //! ([`reconstruct`]). The naive homogeneous variant of §III-D is in
 //! [`homogeneous`].
+//!
+//! A grid kept current under point updates is a [`LocalizedState`]: it
+//! owns the grid, the driver's scan inputs over it and the cells changed
+//! since the last run; [`LocalizedState::apply`] is its only write path,
+//! and [`Repartitioner::run_localized`] re-partitions it at a cost
+//! proportional to those cells, bit-identical to a batch run.
 
 pub mod allocator;
 pub mod extractor;
@@ -47,7 +53,7 @@ pub mod group_adjacency;
 pub mod heap;
 pub mod homogeneous;
 pub mod ifl;
-pub mod incremental;
+mod incremental;
 pub mod localized;
 pub mod partition;
 pub mod prepare;
@@ -63,7 +69,7 @@ pub use group_adjacency::{group_adjacency, group_adjacency_with};
 pub use heap::VariationHeap;
 pub use homogeneous::{homogeneous_ifl, homogeneous_merge, run_homogeneous, HomogeneousOutcome};
 pub use ifl::{partition_ifl, partition_ifl_with};
-pub use incremental::{ScanCache, ScanUpdate};
+pub use incremental::ScanUpdate;
 pub use localized::LocalizedState;
 pub use partition::{GroupId, GroupRect, Partition};
 pub use prepare::PreparedTrainingData;
@@ -89,11 +95,9 @@ pub enum CoreError {
         /// Offending factor.
         factor: usize,
     },
-    /// A [`ScanCache`] was handed to a driver whose IFL options differ from
-    /// the ones the cache was built with (its Eq. 3 term cache would be
-    /// silently wrong), or that was built for another grid: a different
-    /// row count, column count or valid-cell count than the grid passed
-    /// with it.
+    /// A [`LocalizedState`] was handed to a driver whose IFL options differ
+    /// from the ones its scan inputs were built with (their Eq. 3 term
+    /// cache would be silently wrong).
     ScanCacheMismatch,
     /// An [`IterationStrategy::Exponential`] walk needs an initial stride of
     /// at least 1 and a finite growth factor above 1.
@@ -116,7 +120,7 @@ impl std::fmt::Display for CoreError {
                 write!(f, "merge factor {factor} is invalid for this grid")
             }
             CoreError::ScanCacheMismatch => {
-                write!(f, "scan cache was built for another grid or other IFL options")
+                write!(f, "localized state was built with other IFL options than the driver's")
             }
             CoreError::InvalidStrategy { initial_stride, growth } => write!(
                 f,

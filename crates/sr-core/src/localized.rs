@@ -1,12 +1,17 @@
 //! The threshold walk — the one per-threshold evaluation in the crate —
-//! and the cross-run state that makes it cost proportional to the *dirty
-//! region* instead of the grid.
+//! and the maintained grid whose re-partition it keeps current at a cost
+//! proportional to the *dirty region* instead of the grid.
 //!
-//! A batch [`Repartitioner::run`] walks a fresh [`LocalizedState`] (cold:
-//! every extraction a full scan, every group built);
-//! [`Repartitioner::run_localized`] walks a state carried over from the
-//! previous run. Three cooperating mechanisms make the carried-over walk
-//! cheap (docs/INGESTION.md, "The localized walk"):
+//! A [`LocalizedState`] owns one grid, the driver's scan inputs over it,
+//! the cells written since the last run, and the walk's cross-run caches.
+//! [`LocalizedState::apply`] is the only way a maintained cell changes: it
+//! checks the write, applies it, patches the scan inputs and records the
+//! cells, so the dirty set the walk reads is complete by construction.
+//! A batch [`Repartitioner::run`] walks fresh caches over a freshly built
+//! scan (cold: every extraction a full scan, every group built);
+//! [`Repartitioner::run_localized`] walks the state's caches, carried over
+//! from its previous run. Three cooperating mechanisms make the
+//! carried-over walk cheap (docs/INGESTION.md, "The localized walk"):
 //!
 //! 1. **Extraction replay.** Every evaluated threshold records a
 //!    `ThetaTrace`: the emitted rectangles plus, per rectangle, the probe
@@ -31,25 +36,26 @@
 //!    cold, making it the bit-exact reference). A hint below every current
 //!    threshold misses and falls back to the full walk.
 //!
-//! Fallback conditions (all safe, never wrong — just slower): first run or
-//! invalidated state, a dirty fraction above `FULL_WALK_DIRTY_FRACTION`,
-//! and warm-window misses. [`LocalizedState::invalidate`] must be called
-//! when the scan cache rebuilds its normalization (a max-|value| move
-//! rescales every edge variation, so traces and the hint go stale; the
-//! rectangle cache survives — it is keyed on raw values and re-validated
-//! against the dirty region).
+//! Fallback conditions (all safe, never wrong — just slower): the first
+//! run, a normalization rebuild since the last run, a dirty fraction above
+//! `FULL_WALK_DIRTY_FRACTION`, and warm-window misses. A write that moves
+//! a normalization denominator rescales every edge variation, so `apply`
+//! drops the traces and the hint itself; the rectangle cache survives —
+//! it is keyed on raw values and re-validated against the dirty region.
 
 use crate::allocator::{allocate_features_with, allocate_rect_into, GroupFeatures, Scratch};
 use crate::extractor::{scan_row, VARIATION_SLACK};
 use crate::ifl::IflCellCache;
-use crate::incremental::{check_dirty, ScanCache};
+use crate::incremental::{ScanCache, ScanUpdate};
 use crate::partition::{GroupRect, Partition};
 use crate::repartition::{
     IterationStats, RepartitionOutcome, Repartitioned, Repartitioner, WalkKind,
 };
 use crate::{CoreError, Result};
 use sr_grid::loss::fold_cell_terms;
-use sr_grid::{representative, AggType, CellId, EdgeVariations, GridDataset};
+use sr_grid::{
+    representative, AggType, CellId, EdgeVariations, GridDataset, GridError, IflOptions,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -131,13 +137,128 @@ impl Hasher for KeyHasher {
 
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// Cross-run state of the localized path: extraction traces, the per-group
-/// cache, and the warm-start hint. One instance per maintained grid, fed
-/// with the dirty cell set of each [`Repartitioner::run_localized`] call.
-#[derive(Debug, Default)]
+/// One maintained grid and everything its localized re-partition reads:
+/// the driver's scan inputs, the cells written since the last
+/// [`Repartitioner::run_localized`], and the walk's cross-run caches
+/// (extraction traces, the per-group cache and the warm-start hint).
+#[derive(Debug)]
 pub struct LocalizedState {
-    rows: usize,
-    cols: usize,
+    grid: GridDataset,
+    scan: ScanCache,
+    /// Cells written since the last run, ascending and distinct.
+    dirty: Vec<CellId>,
+    caches: WalkCaches,
+}
+
+impl LocalizedState {
+    /// Takes `grid` over and builds its scan inputs under `opts` on `pool`;
+    /// the first run walks cold and seeds the caches.
+    pub fn new(grid: GridDataset, opts: IflOptions, pool: &sr_par::Pool) -> Self {
+        let scan = ScanCache::build_with(&grid, opts, pool);
+        LocalizedState { grid, scan, dirty: Vec::new(), caches: WalkCaches::default() }
+    }
+
+    /// Writes `values` into the listed cells and patches the scan inputs.
+    /// `values` is row-major, one row of `p` attribute values per listed
+    /// cell; each cell takes its row (the last one, if listed twice) and
+    /// becomes valid. The cells are recorded for the next
+    /// [`Repartitioner::run_localized`], and a write that moves a
+    /// normalization denominator drops the traces and the warm hint, so
+    /// the next run walks cold.
+    ///
+    /// An id outside the grid, or a `values` length other than
+    /// `cells.len() · p`, is an error, and nothing is written. The rebuild
+    /// fallbacks run on [`sr_par::Pool::global`].
+    pub fn apply(&mut self, cells: &[CellId], values: &[f64]) -> Result<ScanUpdate> {
+        let p = self.grid.num_attrs();
+        if cells.len().checked_mul(p) != Some(values.len()) {
+            return Err(CoreError::Grid(GridError::DimensionMismatch {
+                context: "values length is not cells × attributes",
+            }));
+        }
+        if cells.iter().any(|&id| id as usize >= self.grid.num_cells()) {
+            return Err(CoreError::Grid(GridError::DimensionMismatch {
+                context: "dirty cell id out of range",
+            }));
+        }
+        for (&id, row) in cells.iter().zip(values.chunks_exact(p)) {
+            for (k, &v) in row.iter().enumerate() {
+                self.grid.set_value(id, k, v);
+            }
+            self.grid.set_valid(id);
+        }
+        let mut sorted = cells.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let update = self.scan.update(&self.grid, &sorted, sr_par::Pool::global());
+        // Two ascending runs: the stable sort merges them in one pass.
+        self.dirty.extend_from_slice(&sorted);
+        self.dirty.sort();
+        self.dirty.dedup();
+        if update.rebuilt_normalization {
+            // Recorded probe outcomes and the hinted θ describe the old
+            // edge view; the rectangle cache is raw-value based and stays.
+            self.caches.traces.clear();
+            self.caches.hint = None;
+            self.caches.ready = false;
+        }
+        Ok(update)
+    }
+
+    /// The maintained grid.
+    pub fn grid(&self) -> &GridDataset {
+        &self.grid
+    }
+
+    /// Distinct cells written since the last run.
+    pub fn pending_dirty_cells(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// The θ of the last run's accepted partition (`None` before the first
+    /// run, after a normalization rebuild, or when nothing was accepted).
+    pub fn warm_hint(&self) -> Option<f64> {
+        self.caches.hint
+    }
+
+    /// Whether the most recent run fell back to the cold walk (first run,
+    /// normalization rebuild, oversized dirty region, or warm-window miss).
+    pub fn last_run_was_fallback(&self) -> bool {
+        self.caches.last_fallback
+    }
+
+    /// Cache hits of the most recent run: groups whose features and Eq. 3
+    /// subtotals were served from the rectangle cache.
+    pub fn last_reused_groups(&self) -> u64 {
+        self.caches.last_reused
+    }
+
+    /// The warm hint the next [`Repartitioner::run_localized`] call would
+    /// hand the threshold walk over the pending dirty cells — `None` when
+    /// that run would walk cold. Callers (and the convergence property
+    /// tests) can reproduce the upcoming walk bit-for-bit by passing this
+    /// to [`Repartitioner::run_with_pool_warm`] with [`LocalizedState::grid`].
+    pub fn planned_hint(&self) -> Option<f64> {
+        if self.walks_cold() {
+            None
+        } else {
+            self.caches.hint
+        }
+    }
+
+    /// Whether the next run would walk cold (no warm hint): unseeded state,
+    /// a normalization rebuild since the last run, or a dirty fraction
+    /// above `FULL_WALK_DIRTY_FRACTION`.
+    fn walks_cold(&self) -> bool {
+        !self.caches.ready
+            || (self.dirty.len() as f64) > FULL_WALK_DIRTY_FRACTION * self.grid.num_cells() as f64
+    }
+}
+
+/// The walk's cross-run caches and run-scoped buffers. A batch run walks a
+/// fresh instance; a [`LocalizedState`] carries one between runs.
+#[derive(Debug, Default)]
+pub(crate) struct WalkCaches {
     /// Monotone run counter; epoch tags on traces / rect entries implement
     /// both end-of-run eviction and the "exactly one generation old"
     /// validity rule.
@@ -145,21 +266,15 @@ pub struct LocalizedState {
     traces: KeyMap<u64, ThetaTrace>,
     rect_cache: KeyMap<GroupRect, RectEntry>,
     hint: Option<f64>,
+    /// Whether a run has completed since the state was built or its
+    /// normalization was rebuilt (traces and hint describe that run).
     ready: bool,
     last_fallback: bool,
     last_reused: u64,
     /// Run-scoped buffers reused across runs (allocation amortization; no
-    /// cross-run meaning except `pos_of`, which is revalidated below).
+    /// cross-run meaning).
     thresholds_buf: Vec<f64>,
     prefix_buf: Vec<u32>,
-    /// Flat cell index → position in the scan cache's valid-cell list
-    /// (`u32::MAX` for invalid cells); rebuilt when `pos_of_stamp` says the
-    /// list changed. Keying on the cache's cells generation is sound under
-    /// the documented contract that one state tracks one maintained
-    /// grid/scan pair.
-    pos_of: Vec<u32>,
-    /// `(cells_generation, cells_len)` the `pos_of` index was built for.
-    pos_of_stamp: Option<(u64, usize)>,
     /// The per-cell subtotal plane; never zeroed between runs — the first
     /// evaluation of a run scores against an empty previous tiling, so it
     /// writes every valid position before the fold reads it.
@@ -167,81 +282,13 @@ pub struct LocalizedState {
     replay: ReplayScratch,
 }
 
-impl LocalizedState {
-    /// Fresh state: the first run walks cold and seeds the caches.
-    pub fn new() -> Self {
-        LocalizedState::default()
-    }
-
-    /// Drops the extraction traces and the warm-start hint; the next run
-    /// walks cold. Call when the scan cache reports a normalization
-    /// rebuild: every edge variation was rescaled, so recorded probe
-    /// outcomes and the hinted θ no longer describe the current edge view.
-    /// The rectangle cache is kept — its features and subtotals depend only
-    /// on raw cell values and are re-validated against the dirty region.
-    pub fn invalidate(&mut self) {
-        self.traces.clear();
-        self.hint = None;
-        self.ready = false;
-    }
-
-    /// The θ the next warm walk would start from (`None` after
-    /// [`LocalizedState::invalidate`] or before the first completed run).
-    pub fn warm_hint(&self) -> Option<f64> {
-        self.hint
-    }
-
-    /// Whether at least one localized run has completed since the last
-    /// invalidation (i.e. traces and hint describe the previous run).
-    pub fn ready(&self) -> bool {
-        self.ready
-    }
-
-    /// Whether the most recent run fell back to the cold walk (first run,
-    /// invalidated state, oversized dirty region, or warm-window miss).
-    pub fn last_run_was_fallback(&self) -> bool {
-        self.last_fallback
-    }
-
-    /// Cache hits of the most recent run: groups whose features and Eq. 3
-    /// subtotals were served from the rectangle cache.
-    pub fn last_reused_groups(&self) -> u64 {
-        self.last_reused
-    }
-
-    /// Starts a run on `grid`: resets the state when the grid shape
-    /// changed, advances the epoch, and loads the scan's distinct
+impl WalkCaches {
+    /// Starts a run: advances the epoch and loads the scan's distinct
     /// thresholds for the walk. Returns the threshold count.
-    pub(crate) fn begin_run(&mut self, grid: &GridDataset, scan: &ScanCache) -> usize {
-        if self.rows != grid.rows() || self.cols != grid.cols() {
-            *self = LocalizedState::new();
-            self.rows = grid.rows();
-            self.cols = grid.cols();
-        }
+    pub(crate) fn begin_run(&mut self, scan: &ScanCache) -> usize {
         self.epoch += 1;
         scan.sorted_distinct_thresholds_into(&mut self.thresholds_buf);
         self.thresholds_buf.len()
-    }
-
-    /// Whether a run over `dirty_len` dirty cells on a `num_cells` grid
-    /// would walk cold (no warm hint): unseeded/invalidated state, or a
-    /// dirty fraction above `FULL_WALK_DIRTY_FRACTION`.
-    fn walks_cold(&self, dirty_len: usize, num_cells: usize) -> bool {
-        !self.ready || (dirty_len as f64) > FULL_WALK_DIRTY_FRACTION * num_cells as f64
-    }
-
-    /// The warm hint the next [`Repartitioner::run_localized`] call would
-    /// hand the threshold walk, given `dirty_len` pending dirty cells on a
-    /// `num_cells` grid — `None` when that run would walk cold. Callers
-    /// (and the convergence property tests) can reproduce the upcoming walk
-    /// bit-for-bit by passing this to
-    /// [`Repartitioner::run_with_pool_warm`].
-    pub fn planned_hint(&self, dirty_len: usize, num_cells: usize) -> Option<f64> {
-        if self.walks_cold(dirty_len, num_cells) {
-            None
-        } else {
-            self.hint
-        }
     }
 }
 
@@ -674,99 +721,87 @@ fn materialize(
 }
 
 impl Repartitioner {
-    /// The localized incremental entry point: a threshold walk over a
-    /// maintained [`ScanCache`] whose cost is proportional to the dirty
-    /// region. `dirty` is the set of cells whose values changed since the
-    /// previous `run_localized` call on this `state` (duplicates are
-    /// harmless, an id outside the grid is an error); `state` carries the
-    /// traces, the per-group cache, and the warm-start hint between runs.
+    /// The localized incremental entry point: a threshold walk over the
+    /// state's maintained grid whose cost is proportional to the cells
+    /// [`LocalizedState::apply`] wrote since the previous run on this
+    /// `state`; the state carries the traces, the per-group cache, and the
+    /// warm-start hint between runs. The run consumes the recorded cells.
     ///
     /// Bit-identity contract: the outcome equals
-    /// [`Repartitioner::run_with_pool_warm`] on the same grid with the hint
-    /// the state held on entry (`None` when the state was not ready or the
-    /// dirty fraction forced a cold walk) — which under a `None` hint or
-    /// the [`crate::IterationStrategy::EveryDistinct`] strategy is exactly
-    /// the batch driver. This holds at any `SR_THREADS`.
+    /// [`Repartitioner::run_with_pool_warm`] on [`LocalizedState::grid`]
+    /// with [`LocalizedState::planned_hint`] taken on entry — which under a
+    /// `None` hint or the [`crate::IterationStrategy::EveryDistinct`]
+    /// strategy is exactly the batch driver. This holds at any
+    /// `SR_THREADS`.
+    ///
+    /// A state built with other IFL options than this driver's is refused
+    /// with [`CoreError::ScanCacheMismatch`].
     ///
     /// Emits the `repartition.run` span with `localized`, `dirty_cells`,
     /// `reused_groups`, and `thresholds_walked` fields on top of the batch
     /// fields.
     pub fn run_localized(
         &self,
-        grid: &GridDataset,
-        scan: &ScanCache,
         state: &mut LocalizedState,
-        dirty: &[CellId],
         pool: &sr_par::Pool,
     ) -> Result<RepartitionOutcome> {
-        let edges = scan.edges();
-        if scan.ifl_options() != self.ifl_options()
-            || (edges.rows(), edges.cols()) != (grid.rows(), grid.cols())
-            || scan.num_valid_cells() != grid.num_valid_cells()
-        {
+        if state.scan.ifl_options() != self.ifl_options() {
             return Err(CoreError::ScanCacheMismatch);
         }
-        check_dirty(grid, dirty)?;
-        let n = grid.num_cells();
+        let n = state.grid.num_cells();
         sr_obs::Registry::global().counter("repartition.runs_total").inc();
         let mut run_span = sr_obs::span("repartition.run");
         run_span.record("cells", n);
         run_span.record("threshold", self.threshold());
         run_span.record("localized", 1usize);
-        run_span.record("dirty_cells", dirty.len());
+        run_span.record("dirty_cells", state.dirty.len());
 
         {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
-            scan_span.record("distinct_variations", state.begin_run(grid, scan));
+            scan_span.record("distinct_variations", state.caches.begin_run(&state.scan));
         }
-        let cold = state.walks_cold(dirty.len(), n);
-        let warm_hint = state.planned_hint(dirty.len(), n);
-        let (outcome, walk) = self.walk_localized(grid, scan, state, dirty, warm_hint, pool);
-        state.last_fallback = cold || walk == WalkKind::WarmMiss;
+        let cold = state.walks_cold();
+        let warm_hint = state.planned_hint();
+        let LocalizedState { grid, scan, dirty, caches } = state;
+        let (outcome, walk) = self.walk_localized(grid, scan, caches, dirty, warm_hint, pool);
+        caches.last_fallback = cold || walk == WalkKind::WarmMiss;
+        dirty.clear();
 
         run_span.record("groups", outcome.repartitioned.num_groups());
         run_span.record("ifl", outcome.repartitioned.ifl());
-        run_span.record("reused_groups", state.last_reused as usize);
+        run_span.record("reused_groups", caches.last_reused as usize);
         run_span.record("thresholds_walked", outcome.iterations.len());
         Ok(outcome)
     }
 
     /// The threshold walk — the crate's one per-threshold evaluation (Alg.
     /// 1 extraction, Alg. 2 allocation, Eq. 3 scoring), shared by the batch
-    /// driver (a fresh `state`, no dirt) and [`Repartitioner::run_localized`].
-    /// [`LocalizedState::begin_run`] must have loaded the scan's thresholds.
+    /// driver (fresh caches, no dirt) and [`Repartitioner::run_localized`].
+    /// [`WalkCaches::begin_run`] must have loaded the scan's thresholds.
     pub(crate) fn walk_localized(
         &self,
         grid: &GridDataset,
         scan: &ScanCache,
-        state: &mut LocalizedState,
+        caches: &mut WalkCaches,
         dirty: &[CellId],
         warm_hint: Option<f64>,
         pool: &sr_par::Pool,
     ) -> (RepartitionOutcome, WalkKind) {
         let (rows, cols) = (grid.rows(), grid.cols());
         let n = grid.num_cells();
-        let epoch = state.epoch;
+        let epoch = caches.epoch;
         let edges = scan.edges();
         let cells = scan.cells();
+        let pos_of = scan.pos_of();
         let ifl_cache = scan.ifl_cache();
 
-        // Run-scoped derived inputs and scratch, all held in the state so
+        // Run-scoped derived inputs and scratch, all held in `caches` so
         // steady-state runs allocate nothing grid-sized.
-        build_dirty_prefix(rows, cols, dirty, &mut state.prefix_buf);
-        let stamp = (scan.cells_generation(), cells.len());
-        if state.pos_of.len() != n || state.pos_of_stamp != Some(stamp) {
-            state.pos_of.clear();
-            state.pos_of.resize(n, u32::MAX);
-            for (i, &id) in cells.iter().enumerate() {
-                state.pos_of[id as usize] = i as u32;
-            }
-            state.pos_of_stamp = Some(stamp);
-        }
-        state.terms.resize(cells.len(), 0.0);
-        state.replay.bot_new.resize(cols, 0);
-        state.replay.bot_old.resize(cols, 0);
-        state.replay.in_diff.resize(cols, false);
+        build_dirty_prefix(rows, cols, dirty, &mut caches.prefix_buf);
+        caches.terms.resize(cells.len(), 0.0);
+        caches.replay.bot_new.resize(cols, 0);
+        caches.replay.bot_old.resize(cols, 0);
+        caches.replay.in_diff.resize(cols, false);
         let p = grid.num_attrs();
         let aggs = grid.agg_types().to_vec();
         let has_mode = aggs.contains(&AggType::Mode);
@@ -783,13 +818,12 @@ impl Repartitioner {
         let threshold = self.threshold();
 
         let walk = {
-            let traces = &mut state.traces;
-            let rect_cache = &mut state.rect_cache;
-            let thresholds = &state.thresholds_buf;
-            let prefix = &state.prefix_buf;
-            let pos_of = &state.pos_of;
-            let terms = &mut state.terms;
-            let rs = &mut state.replay;
+            let traces = &mut caches.traces;
+            let rect_cache = &mut caches.rect_cache;
+            let thresholds = &caches.thresholds_buf;
+            let prefix = &caches.prefix_buf;
+            let terms = &mut caches.terms;
+            let rs = &mut caches.replay;
             // The tiling the subtotal plane currently holds (walk-scoped:
             // the plane persists across the evaluations of one run).
             let mut prev_rects: Vec<GroupRect> = Vec::new();
@@ -868,7 +902,7 @@ impl Repartitioner {
         let repartitioned = match best {
             Some((theta, ifl, _)) => {
                 let (partition, features) =
-                    materialize(grid, &winner_rects, &state.rect_cache, epoch, &mut scratch);
+                    materialize(grid, &winner_rects, &caches.rect_cache, epoch, &mut scratch);
                 Repartitioned::from_parts(grid, partition, features, ifl, theta)
             }
             // Nothing accepted (or no adjacent pairs): the identity
@@ -887,11 +921,11 @@ impl Repartitioner {
         // anything not touched this run is evicted — which both bounds
         // memory and keeps every retained item exactly one dirt-generation
         // old, the precondition of the cross-run validity checks above.
-        state.hint = best.map(|(theta, ..)| theta);
-        state.ready = true;
-        state.last_reused = reused;
-        state.traces.retain(|_, t| t.epoch == epoch);
-        state.rect_cache.retain(|_, e| e.epoch == epoch);
+        caches.hint = best.map(|(theta, ..)| theta);
+        caches.ready = true;
+        caches.last_reused = reused;
+        caches.traces.retain(|_, t| t.epoch == epoch);
+        caches.rect_cache.retain(|_, e| e.epoch == epoch);
 
         (RepartitionOutcome { repartitioned, iterations, input_cells: n }, walk)
     }
@@ -952,7 +986,7 @@ mod tests {
     /// A sequence of dirty batches replayed through `run_localized` must
     /// match `run_with_pool_warm` on the same grid and hint, bit for bit,
     /// at 1 and 8 threads — including warm walks, a θ-jump miss, and a
-    /// cold restart after invalidation.
+    /// cold restart after a normalization rebuild.
     #[test]
     fn localized_matches_hinted_batch_driver() {
         for strategy in [
@@ -963,28 +997,30 @@ mod tests {
             let mut reference: Vec<Vec<u64>> = Vec::new();
             for threads in [1usize, 8] {
                 let pool = sr_par::Pool::new(threads);
-                let mut grid = smooth_grid(14, 15, 42);
-                let mut scan = ScanCache::build(&grid, drv.ifl_options());
-                let mut state = LocalizedState::new();
+                let grid = smooth_grid(14, 15, 42);
+                let mut state = LocalizedState::new(grid, drv.ifl_options(), &pool);
                 let mut rng = SmallRng::seed_from_u64(7);
                 for round in 0..6 {
                     let dirty: Vec<CellId> = if round == 0 {
                         Vec::new()
                     } else {
-                        (0..5).map(|_| rng.gen_range(0..grid.num_cells()) as CellId).collect()
+                        (0..5)
+                            .map(|_| rng.gen_range(0..state.grid().num_cells()) as CellId)
+                            .collect()
                     };
-                    for &id in &dirty {
-                        let bump = rng.gen_range(-0.4..0.4);
-                        let v = grid.value(id, 0) + bump;
-                        grid.set_value(id, 0, v);
+                    let mut values: Vec<f64> = Vec::with_capacity(dirty.len());
+                    for (i, &id) in dirty.iter().enumerate() {
+                        // A repeated id bumps its own latest value.
+                        let prev = dirty[..i]
+                            .iter()
+                            .rposition(|&d| d == id)
+                            .map_or(state.grid().value(id, 0), |j| values[j]);
+                        values.push(prev + rng.gen_range(-0.4..0.4));
                     }
-                    let update = scan.update(&grid, &dirty).unwrap();
-                    if update.rebuilt_normalization {
-                        state.invalidate();
-                    }
-                    let hint = if state.ready() { state.warm_hint() } else { None };
-                    let local = drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
-                    let batch = drv.run_with_pool_warm(&grid, &pool, hint).unwrap();
+                    state.apply(&dirty, &values).unwrap();
+                    let hint = state.planned_hint();
+                    let local = drv.run_localized(&mut state, &pool).unwrap();
+                    let batch = drv.run_with_pool_warm(state.grid(), &pool, hint).unwrap();
                     assert_eq!(
                         outcome_bits(&local),
                         outcome_bits(&batch),
@@ -1014,27 +1050,24 @@ mod tests {
         let pool = sr_par::Pool::new(2);
         // One near-identical pair (cells 0 and 1) in an otherwise jagged
         // row: the first run's winner is that pair's tiny variation.
-        let mut grid =
-            GridDataset::univariate(2, 3, vec![100.0, 100.001, 220.0, 390.0, 560.0, 730.0])
-                .unwrap();
-        let mut scan = ScanCache::build(&grid, drv.ifl_options());
-        let mut state = LocalizedState::new();
-        let first = drv.run_localized(&grid, &scan, &mut state, &[], &pool).unwrap();
+        let grid = GridDataset::univariate(2, 3, vec![100.0, 100.001, 220.0, 390.0, 560.0, 730.0])
+            .unwrap();
+        let mut state = LocalizedState::new(grid, drv.ifl_options(), &pool);
+        let first = drv.run_localized(&mut state, &pool).unwrap();
         assert!(first.repartitioned.num_groups() < 6, "expected the pair to merge");
         let hint = state.warm_hint().expect("first run must set the hint");
 
         // Destroy the pair: the hinted variation vanishes from the
         // threshold list and every remaining variation exceeds it.
-        let dirty = vec![1 as CellId];
-        grid.set_value(1, 0, 155.0);
-        let update = scan.update(&grid, &dirty).unwrap();
+        let update = state.apply(&[1], &[155.0]).unwrap();
         assert!(!update.rebuilt_normalization);
-        let thresholds = scan.sorted_distinct_thresholds();
+        let mut thresholds = Vec::new();
+        state.scan.sorted_distinct_thresholds_into(&mut thresholds);
         assert!(thresholds.iter().all(|&t| t > hint), "hint must sit below all thresholds");
 
-        let local = drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
+        let local = drv.run_localized(&mut state, &pool).unwrap();
         assert!(state.last_run_was_fallback(), "warm miss must be reported as fallback");
-        let batch = drv.run_with_pool_warm(&grid, &pool, Some(hint)).unwrap();
+        let batch = drv.run_with_pool_warm(state.grid(), &pool, Some(hint)).unwrap();
         assert_eq!(outcome_bits(&local), outcome_bits(&batch));
     }
 
@@ -1045,24 +1078,18 @@ mod tests {
         let strategy = IterationStrategy::Exponential { initial_stride: 2, growth: 1.7 };
         let drv = driver(0.08, strategy);
         let pool = sr_par::Pool::new(2);
-        let mut grid = smooth_grid(9, 9, 3);
-        let mut scan = ScanCache::build(&grid, drv.ifl_options());
-        let mut state = LocalizedState::new();
-        drv.run_localized(&grid, &scan, &mut state, &[], &pool).unwrap();
-        assert!(state.ready());
+        let mut state = LocalizedState::new(smooth_grid(9, 9, 3), drv.ifl_options(), &pool);
+        drv.run_localized(&mut state, &pool).unwrap();
+        assert!(state.warm_hint().is_some());
 
-        let dirty: Vec<CellId> = (0..grid.num_cells() as CellId).collect();
-        for &id in &dirty {
-            let v = grid.value(id, 0) * 1.001 + 0.05;
-            grid.set_value(id, 0, v);
-        }
-        let update = scan.update(&grid, &dirty).unwrap();
-        if update.rebuilt_normalization {
-            state.invalidate();
-        }
-        let local = drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
+        let dirty: Vec<CellId> = (0..state.grid().num_cells() as CellId).collect();
+        let values: Vec<f64> =
+            dirty.iter().map(|&id| state.grid().value(id, 0) * 1.001 + 0.05).collect();
+        state.apply(&dirty, &values).unwrap();
+        assert_eq!(state.planned_hint(), None);
+        let local = drv.run_localized(&mut state, &pool).unwrap();
         assert!(state.last_run_was_fallback());
-        let batch = drv.run_with_pool_warm(&grid, &pool, None).unwrap();
+        let batch = drv.run_with_pool_warm(state.grid(), &pool, None).unwrap();
         assert_eq!(outcome_bits(&local), outcome_bits(&batch));
     }
 
@@ -1074,21 +1101,48 @@ mod tests {
         // dirty cell invalidates one group and the rest hit the cache.
         let drv = driver(0.02, strategy);
         let pool = sr_par::Pool::new(1);
-        let mut grid = smooth_grid(24, 24, 11);
-        let mut scan = ScanCache::build(&grid, drv.ifl_options());
-        let mut state = LocalizedState::new();
-        let first = drv.run_localized(&grid, &scan, &mut state, &[], &pool).unwrap();
+        let mut state = LocalizedState::new(smooth_grid(24, 24, 11), drv.ifl_options(), &pool);
+        let first = drv.run_localized(&mut state, &pool).unwrap();
         assert!(first.repartitioned.num_groups() > 4, "need a multi-group winner");
 
-        let dirty = vec![40 as CellId];
-        let v = grid.value(40, 0) + 0.2;
-        grid.set_value(40, 0, v);
-        let update = scan.update(&grid, &dirty).unwrap();
-        if update.rebuilt_normalization {
-            state.invalidate();
-        }
-        drv.run_localized(&grid, &scan, &mut state, &dirty, &pool).unwrap();
+        let v = state.grid().value(40, 0) + 0.2;
+        state.apply(&[40], &[v]).unwrap();
+        drv.run_localized(&mut state, &pool).unwrap();
         assert!(!state.last_run_was_fallback());
         assert!(state.last_reused_groups() > 0, "expected rect-cache hits");
+    }
+
+    #[test]
+    fn mismatched_ifl_options_are_rejected() {
+        let pool = sr_par::Pool::global();
+        let grid = smooth_grid(4, 4, 7);
+        let mut state = LocalizedState::new(grid, IflOptions { zero_eps: 0.5 }, pool);
+        let err = driver(0.1, IterationStrategy::EveryDistinct).run_localized(&mut state, pool);
+        assert!(matches!(err, Err(CoreError::ScanCacheMismatch)));
+    }
+
+    /// A write naming a cell outside the grid, or carrying a `values`
+    /// slice of the wrong length, is refused before anything is written:
+    /// the grid, the scan inputs and the dirty set stay as they were, and
+    /// the next run still matches the batch driver.
+    #[test]
+    fn malformed_writes_are_rejected_untouched() {
+        let pool = sr_par::Pool::global();
+        let grid = smooth_grid(4, 4, 12);
+        let mut state = LocalizedState::new(grid.clone(), IflOptions::default(), pool);
+        let mismatch = |context| CoreError::Grid(GridError::DimensionMismatch { context });
+        let out_of_range = mismatch("dirty cell id out of range");
+        let bad_len = mismatch("values length is not cells × attributes");
+        assert_eq!(state.apply(&[3, 99], &[150.0, 150.0]).unwrap_err(), out_of_range);
+        assert_eq!(state.apply(&[3], &[150.0, 150.0]).unwrap_err(), bad_len);
+        assert_eq!(state.apply(&[3, 4], &[150.0]).unwrap_err(), bad_len);
+        let bits = |g: &GridDataset| (0..16).map(|id| g.value(id, 0).to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(state.grid()), bits(&grid));
+        assert_eq!(state.pending_dirty_cells(), 0);
+        crate::incremental::tests::assert_cache_fresh(&state.scan, &state.grid);
+        let drv = driver(0.1, IterationStrategy::EveryDistinct);
+        let local = drv.run_localized(&mut state, pool).unwrap();
+        let batch = drv.run_with_pool(&grid, pool).unwrap();
+        assert_eq!(outcome_bits(&local), outcome_bits(&batch));
     }
 }

@@ -21,7 +21,7 @@
 use crate::allocator::GroupFeatures;
 use crate::group_adjacency::group_adjacency;
 use crate::incremental::ScanCache;
-use crate::localized::LocalizedState;
+use crate::localized::WalkCaches;
 use crate::partition::{GroupId, Partition};
 use crate::reconstruct::reconstruct_grid;
 use crate::{CoreError, Result};
@@ -307,8 +307,8 @@ impl Repartitioner {
     /// exactly [`Repartitioner::run_with_pool`].
     ///
     /// A batch run is a *cold* localized walk — the same per-threshold
-    /// evaluation [`Repartitioner::run_localized`] runs, over a freshly
-    /// built [`ScanCache`] and a fresh [`LocalizedState`], so every
+    /// evaluation [`Repartitioner::run_localized`] runs, over freshly built
+    /// scan inputs of the borrowed `grid` and fresh walk caches, so every
     /// extraction is a full scan and every group is built.
     pub fn run_with_pool_warm(
         &self,
@@ -326,16 +326,16 @@ impl Repartitioner {
             let _span = sr_obs::span("repartition.normalize");
             normalize_attributes(grid)
         };
-        let mut state = LocalizedState::new();
+        let mut caches = WalkCaches::default();
         let scan = {
             let mut scan_span = sr_obs::span("repartition.variation_scan");
             let scan = ScanCache::from_normalized(grid, &normalized, self.config.ifl_options, pool);
-            scan_span.record("distinct_variations", state.begin_run(grid, &scan));
+            scan_span.record("distinct_variations", caches.begin_run(&scan));
             scan
         };
         drop(normalized);
 
-        let (outcome, _) = self.walk_localized(grid, &scan, &mut state, &[], warm_hint, pool);
+        let (outcome, _) = self.walk_localized(grid, &scan, &mut caches, &[], warm_hint, pool);
         run_span.record("groups", outcome.repartitioned.num_groups());
         run_span.record("ifl", outcome.repartitioned.ifl());
         Ok(outcome)

@@ -142,8 +142,8 @@ impl IngestSchema {
 
 /// Persistent per-cell fold state for every attribute of the schema. Lives
 /// across batches; [`CellAccumulators::bin_chunk`] folds a chunk in and
-/// [`CellAccumulators::write_into`] materializes collapsed values for the
-/// cells a batch touched.
+/// [`CellAccumulators::collapse_into`] materializes collapsed values for
+/// the cells a batch touched.
 #[derive(Debug, Clone)]
 pub struct CellAccumulators {
     rows: usize,
@@ -281,18 +281,14 @@ impl CellAccumulators {
         }
     }
 
-    /// Writes the collapsed values of the listed cells into `grid` and
-    /// marks them valid. `grid` must share this accumulator's shape and
-    /// schema arity.
-    pub fn write_into(&self, grid: &mut GridDataset, cells: &[CellId]) {
-        debug_assert_eq!(grid.num_cells(), self.rows * self.cols);
-        debug_assert_eq!(grid.num_attrs(), self.collapses.len());
+    /// Appends the collapsed values of the listed cells to `out`,
+    /// row-major: one row of `p` attribute values per cell — the form
+    /// [`sr_core::LocalizedState::apply`] takes.
+    pub fn collapse_into(&self, cells: &[CellId], out: &mut Vec<f64>) {
+        out.reserve(cells.len() * self.collapses.len());
         for &cell in cells {
             debug_assert!(self.points[cell as usize] > 0);
-            for k in 0..self.collapses.len() {
-                grid.set_value(cell, k, self.collapsed(cell, k));
-            }
-            grid.set_valid(cell);
+            out.extend((0..self.collapses.len()).map(|k| self.collapsed(cell, k)));
         }
     }
 
@@ -411,10 +407,9 @@ mod tests {
         assert_eq!(acc.points_in(0), 1);
         assert_eq!(acc.collapsed(0, 0), 0.0);
         assert_eq!(acc.collapsed(0, 1), 0.0);
-        let mut grid = s.empty_grid(2, 2, Bounds::unit()).unwrap();
-        acc.write_into(&mut grid, &dirty);
-        assert!(grid.is_valid(0));
-        assert_eq!(grid.value(0, 0), 0.0);
+        let mut values = Vec::new();
+        acc.collapse_into(&dirty, &mut values);
+        assert_eq!(values, vec![0.0, 0.0]);
     }
 
     #[test]

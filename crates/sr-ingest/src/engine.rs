@@ -2,13 +2,14 @@
 //! re-partition incrementally → republish (`docs/INGESTION.md` §4–§6).
 //!
 //! - **Per batch** ([`IngestEngine::apply_batch`]): points fold into the
-//!   [`CellAccumulators`], collapsed values land in the grid, and the
-//!   [`ScanCache`] patches the driver's scan inputs over the dirty cells.
-//!   The dirty cells are remembered for the next re-partition.
+//!   [`CellAccumulators`], and the dirty cells' collapsed values go to the
+//!   engine's [`LocalizedState`] in one [`LocalizedState::apply`], which
+//!   writes the grid, patches the driver's scan inputs and records the
+//!   cells for the next re-partition.
 //! - **On demand** ([`IngestEngine::repartition`]): the localized walk
 //!   ([`Repartitioner::run_localized`]) re-runs the threshold search over
-//!   the patched scan inputs, at a cost proportional to the dirty region —
-//!   bit-identical to a from-scratch run on the accumulated data.
+//!   the state's patched scan inputs, at a cost proportional to the dirty
+//!   region — bit-identical to a from-scratch run on the accumulated data.
 //!
 //! [`IngestEngine::publish`] then writes the accepted result as a v2
 //! snapshot through the same atomic temp-file + rename path the serving
@@ -19,11 +20,10 @@
 use crate::binning::{CellAccumulators, IngestSchema};
 use crate::stream::PointChunk;
 use crate::{IngestError, Result};
-use sr_core::incremental::{ScanCache, ScanUpdate};
-use sr_core::localized::LocalizedState;
 use sr_core::repartition::{
     IterationStrategy, RepartitionConfig, RepartitionOutcome, Repartitioner,
 };
+use sr_core::{LocalizedState, ScanUpdate};
 use sr_grid::{Bounds, CellId, GridDataset, IflOptions};
 use sr_serve::{save_snapshot_bytes, snapshot_to_bytes_v2, Snapshot};
 use std::path::Path;
@@ -44,7 +44,7 @@ pub struct IngestConfig {
     /// Driver iteration strategy; [`IngestConfig::new`] picks
     /// [`IterationStrategy::for_cells`], as `srtool repartition` does.
     pub strategy: IterationStrategy,
-    /// IFL options shared by the scan cache and the driver.
+    /// IFL options shared by the scan inputs and the driver.
     pub ifl_options: IflOptions,
 }
 
@@ -83,7 +83,7 @@ pub struct BatchReport {
     pub points: usize,
     /// Distinct cells the batch touched.
     pub dirty_cells: usize,
-    /// How the scan cache absorbed the batch (patch vs rebuild).
+    /// How the scan inputs absorbed the batch (patch vs rebuild).
     pub scan: ScanUpdate,
 }
 
@@ -91,17 +91,10 @@ pub struct BatchReport {
 pub struct IngestEngine {
     config: IngestConfig,
     driver: Repartitioner,
-    grid: GridDataset,
     accum: CellAccumulators,
-    scan: ScanCache,
-    /// Localized-walk state: extraction traces, the group rectangle cache,
-    /// and the warm-start θ of the last run.
+    /// The maintained grid, its scan inputs, the cells dirtied since the
+    /// last re-partition, and the localized walk's caches.
     localized: LocalizedState,
-    /// Distinct cells dirtied since the last exact re-partition; the
-    /// localized run consumes and clears them.
-    pending: Vec<CellId>,
-    /// Membership bits of `pending` (flat cell index).
-    pending_dirty: Vec<bool>,
     /// Last accepted exact result plus the grid state it was computed on
     /// (the grid keeps mutating afterwards; publishing needs the pair).
     last: Option<(RepartitionOutcome, GridDataset)>,
@@ -127,57 +120,50 @@ impl IngestEngine {
             .empty_grid(config.rows, config.cols, config.bounds)
             .map_err(IngestError::Grid)?;
         let accum = CellAccumulators::new(config.rows, config.cols, &config.schema);
-        let scan = ScanCache::build(&grid, config.ifl_options);
-        let pending_dirty = vec![false; config.rows * config.cols];
+        let localized = LocalizedState::new(grid, config.ifl_options, sr_par::Pool::global());
         Ok(IngestEngine {
             config,
             driver,
-            grid,
             accum,
-            scan,
-            localized: LocalizedState::new(),
-            pending: Vec::new(),
-            pending_dirty,
+            localized,
             last: None,
             batches: 0,
             total_points: 0,
         })
     }
 
-    /// Ingests one chunk: folds its points into the accumulators, writes
-    /// the dirty cells' collapsed values into the grid, patches the scan
-    /// cache, and marks the cells dirty for the next re-partition.
+    /// Ingests one chunk: folds its points into the accumulators and hands
+    /// the dirty cells' collapsed values to [`LocalizedState::apply`],
+    /// which writes the grid, patches the scan inputs, and records the
+    /// cells for the next re-partition.
+    ///
+    /// A chunk whose columns disagree in length (`ys` against `xs`, or
+    /// `attrs` against `xs.len() · num_attrs`) or whose arity differs from
+    /// the schema is refused before any point is binned.
     ///
     /// Emits an `ingest.batch` span with an `ingest.bin` child and bumps
     /// `ingest.batches_total` / `ingest.points_total` /
     /// `ingest.dirty_cells_total` (+ `ingest.scan_rebuilds_total` when a
-    /// batch forced the scan cache to rebuild).
+    /// batch forced the scan inputs to rebuild).
     pub fn apply_batch(&mut self, chunk: &PointChunk) -> Result<BatchReport> {
         if chunk.num_attrs != self.config.schema.num_attrs() {
             return Err(IngestError::Config("chunk arity does not match the schema".into()));
         }
+        if chunk.ys.len() != chunk.xs.len()
+            || chunk.xs.len().checked_mul(chunk.num_attrs) != Some(chunk.attrs.len())
+        {
+            return Err(IngestError::Config("chunk columns differ in length".into()));
+        }
         let mut span = sr_obs::span("ingest.batch");
         let mut dirty: Vec<CellId> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
         let points = {
             let _bin = sr_obs::span("ingest.bin");
             let points = self.accum.bin_chunk(chunk, &self.config.bounds, &mut dirty);
-            self.accum.write_into(&mut self.grid, &dirty);
+            self.accum.collapse_into(&dirty, &mut values);
             points
         };
-        let scan = self.scan.update(&self.grid, &dirty).map_err(IngestError::Core)?;
-        for &id in &dirty {
-            let slot = &mut self.pending_dirty[id as usize];
-            if !*slot {
-                *slot = true;
-                self.pending.push(id);
-            }
-        }
-        if scan.rebuilt_normalization {
-            // Every edge variation was rescaled: recorded probe outcomes
-            // and the warm θ no longer describe the edge view. The group
-            // rectangle cache inside survives (raw-value based).
-            self.localized.invalidate();
-        }
+        let scan = self.localized.apply(&dirty, &values).map_err(IngestError::Core)?;
         self.batches += 1;
         self.total_points += points as u64;
         let metrics = sr_obs::Registry::global();
@@ -193,8 +179,8 @@ impl IngestEngine {
         Ok(BatchReport { points, dirty_cells: dirty.len(), scan })
     }
 
-    /// Runs the exact incremental re-partition over the maintained scan
-    /// inputs. The run is *localized*
+    /// Runs the exact incremental re-partition over the maintained grid.
+    /// The run is *localized*
     /// ([`Repartitioner::run_localized`]): extraction replays
     /// the previous run's traces outside the dirty region, unchanged
     /// groups are served from the rectangle cache, and the threshold walk
@@ -213,24 +199,19 @@ impl IngestEngine {
     /// [`IngestEngine::repartition`] on an explicit pool.
     pub fn repartition_with(&mut self, pool: &sr_par::Pool) -> Result<&RepartitionOutcome> {
         let mut span = sr_obs::span("ingest.repartition");
-        let outcome = self
-            .driver
-            .run_localized(&self.grid, &self.scan, &mut self.localized, &self.pending, pool)
-            .map_err(IngestError::Core)?;
+        let dirty_cells = self.localized.pending_dirty_cells();
+        let outcome =
+            self.driver.run_localized(&mut self.localized, pool).map_err(IngestError::Core)?;
         span.record("groups", outcome.repartitioned.num_groups());
         span.record("ifl", outcome.repartitioned.ifl());
-        span.record("dirty_cells", self.pending.len());
-        for &id in &self.pending {
-            self.pending_dirty[id as usize] = false;
-        }
-        self.pending.clear();
+        span.record("dirty_cells", dirty_cells);
         let metrics = sr_obs::Registry::global();
         metrics.counter("ingest.repartitions_total").inc();
         metrics.counter("ingest.localized_runs_total").inc();
         if self.localized.last_run_was_fallback() {
             metrics.counter("ingest.localized_fallbacks_total").inc();
         }
-        self.last = Some((outcome, self.grid.clone()));
+        self.last = Some((outcome, self.localized.grid().clone()));
         Ok(&self.last.as_ref().unwrap().0)
     }
 
@@ -288,7 +269,7 @@ impl IngestEngine {
 
     /// The accumulated grid (collapsed values of every touched cell).
     pub fn grid(&self) -> &GridDataset {
-        &self.grid
+        self.localized.grid()
     }
 
     /// The last re-partition outcome.
@@ -304,16 +285,16 @@ impl IngestEngine {
     /// this to [`Repartitioner::run_with_pool_warm`]; the convergence
     /// property tests do exactly that.
     pub fn planned_warm_hint(&self) -> Option<f64> {
-        self.localized.planned_hint(self.pending.len(), self.grid.num_cells())
+        self.localized.planned_hint()
     }
 
     /// Distinct cells dirtied since the last re-partition.
     pub fn pending_dirty_cells(&self) -> usize {
-        self.pending.len()
+        self.localized.pending_dirty_cells()
     }
 
-    /// The localized-walk state (fallback / reuse telemetry of the last
-    /// run).
+    /// The localized-walk state: the maintained grid, and the fallback /
+    /// reuse telemetry of the last run.
     pub fn localized(&self) -> &LocalizedState {
         &self.localized
     }
@@ -378,5 +359,21 @@ mod tests {
         let mut e = engine(3, 3);
         let bad = PointChunk::with_capacity(0, 3);
         assert!(matches!(e.apply_batch(&bad), Err(IngestError::Config(_))));
+    }
+
+    /// Column lengths that disagree are refused before any point is
+    /// binned: no counter moves and the grid stays empty.
+    #[test]
+    fn ragged_chunks_are_rejected_before_binning() {
+        let mut e = engine(3, 3);
+        let mut short_ys = chunk(&[(0.1, 0.1, 5.0), (0.9, 0.9, 7.0)]);
+        short_ys.ys.pop();
+        let mut short_attrs = chunk(&[(0.1, 0.1, 5.0), (0.9, 0.9, 7.0)]);
+        short_attrs.attrs.truncate(3);
+        for bad in [&short_ys, &short_attrs] {
+            assert!(matches!(e.apply_batch(bad), Err(IngestError::Config(_))));
+            assert_eq!((e.total_points(), e.num_batches()), (0, 0));
+            assert_eq!(e.grid().num_valid_cells(), 0);
+        }
     }
 }

@@ -5,11 +5,11 @@
 //! bounded-memory chunks ([`StreamReader`]), binned into grid cells with
 //! per-cell mean/median/min/max/count collapse ([`CellAccumulators`]), and
 //! maintained as a [`sr_grid::GridDataset`] whose re-partition is kept
-//! current *incrementally*: each batch patches the driver's scan inputs
-//! over the dirty cells ([`sr_core::incremental::ScanCache`]), so an exact
-//! re-partition re-runs only the threshold walk, localized to the dirty
-//! region — and is **bit-identical** to a from-scratch run on the
-//! accumulated data.
+//! current *incrementally*: the grid lives in a [`sr_core::LocalizedState`],
+//! whose `apply` writes each batch's collapsed cells and patches the
+//! driver's scan inputs over them, so an exact re-partition re-runs only
+//! the threshold walk, localized to the dirty region — and is
+//! **bit-identical** to a from-scratch run on the accumulated data.
 //!
 //! The normative contract — stream format, collapse semantics, NaN and
 //! empty-cell rules, the dirty-region algorithm, the convergence

@@ -96,9 +96,9 @@ pub use sr_shard as shard;
 pub mod prelude {
     pub use sr_baselines::{contiguous_clustering, regionalize, spatial_sampling, ReducedDataset};
     pub use sr_core::{
-        quadtree_partition, repartition, CellUpdate, IterationStrategy, PreparedTrainingData,
-        RepartitionConfig, Repartitioned, Repartitioner, ScanCache, StreamingRepartitioner,
-        TemporalRepartitioner,
+        quadtree_partition, repartition, CellUpdate, IterationStrategy, LocalizedState,
+        PreparedTrainingData, RepartitionConfig, Repartitioned, Repartitioner,
+        StreamingRepartitioner, TemporalRepartitioner,
     };
     pub use sr_datasets::{train_test_split, Dataset, GridSize};
     pub use sr_fault::{Backoff, FaultPlan};
